@@ -43,8 +43,6 @@ from repro.core import (
     PublicVerifier,
     Prover,
     Release,
-    VerifiableBinomialProtocol,
-    VerifiableHistogram,
     encode_choice,
     setup,
 )
@@ -87,9 +85,6 @@ __all__ = [
     "PublicVerifier",
     "Release",
     "encode_choice",
-    # Legacy shims (deprecated; kept for one release).
-    "VerifiableBinomialProtocol",
-    "VerifiableHistogram",
     # Mechanisms.
     "BinomialMechanism",
     "LaplaceMechanism",

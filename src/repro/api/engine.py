@@ -3,15 +3,16 @@
 One :class:`ProtocolEngine` executes one ΠBin instance — a counting
 query, a histogram, or a weighted-lane (bounded-sum) query, as described
 by its :class:`~repro.core.plan.AggregationPlan` — over the
-:mod:`repro.core.messages` types and the :mod:`repro.mpc.bus` transport.
-It replaces the monolithic ``run_*()`` methods with an explicit phase
-machine (:mod:`repro.api.phases`) and supports two execution modes:
+:mod:`repro.core.messages` types and the :mod:`repro.mpc.bus` transport,
+as an explicit phase machine (:mod:`repro.api.phases`).
+:class:`~repro.api.session.Session` builds one per query; runs with
+custom (e.g. cheating) provers or verifiers construct it directly and
+call :meth:`ProtocolEngine.submit_clients` then
+:meth:`ProtocolEngine.run_release`.  It supports two execution modes:
 
-**Buffered** (``chunk_size=None``) retains every public message, exactly
-reproducing the legacy ``VerifiableBinomialProtocol.run`` execution order
-— same RNG draw sequence per party, hence byte-identical releases under
-seeded RNGs — and yields a result that can still be published to a
-bulletin board for third-party replay.
+**Buffered** (``chunk_size=None``) retains every public message and
+yields a result that can be published to a bulletin board for
+third-party replay.
 
 **Streaming** (``chunk_size=n``) accepts clients in chunks and verifies
 coins in chunks: client validity proofs fold into per-chunk Σ-batches and
@@ -216,8 +217,8 @@ class ProtocolEngine:
         """
         self._require(Phase.ENROLL, "submit")
         for client in clients:
-            # Unconditional: a duplicate client id is a ParameterError, as
-            # in the legacy entry point — a client must not enroll twice.
+            # Unconditional: a duplicate client id is a ParameterError —
+            # a client must not enroll twice.
             self.network.register(client.name)
             with self.timer.stage(STAGE_CLIENT_PROOF):
                 broadcast, privates = client.submit(self.params)
@@ -353,9 +354,9 @@ class ProtocolEngine:
         return self._result
 
     def _coin_phases_buffered(self, context: bytes):
-        """Lines 4–9 exactly as the legacy monolithic run: all provers
-        commit, one cross-prover batch verification, then Morra + Line 12
-        per prover."""
+        """Lines 4–9 in Figure 2's order: all provers commit, one
+        cross-prover batch verification, then Morra + Line 12 per
+        prover."""
         params = self.params
         self._advance(Phase.COMMIT_COINS)
         coin_messages = []

@@ -165,7 +165,7 @@ class Session:
         K = 1 is the trusted-curator model, K >= 2 the client-server MPC
         model (each prover adds its own noise; the release debiases all).
     chunk_size:
-        None buffers the whole run (audit-replayable, legacy-identical);
+        None buffers the whole run (audit-replayable via the bulletin);
         an integer streams it with O(chunk) verifier memory.
     accountant:
         Shared budget ledger; a fresh one is created when omitted.  Each

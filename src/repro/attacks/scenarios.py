@@ -26,12 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.api.engine import ProtocolEngine
+from repro.api.queries import CountQuery
+from repro.api.session import Session
 from repro.baselines.prio import CorruptPrioServer, PrioSystem
 from repro.baselines.trusted_curator import MaliciousCurator, NonVerifiableCurator
 from repro.core.client import Client, NonBinaryClient, encode_choice
 from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.prover import InputDroppingProver, OutputTamperingProver, Prover
 from repro.utils.rng import RNG, SeededRNG, default_rng
 
@@ -111,11 +113,11 @@ def exclusion_attack_on_pibin(
         Prover("prover-0", params, rng.fork("p0")),
         InputDroppingProver("prover-1", params, rng.fork("p1"), victim=victim),
     ]
-    protocol = VerifiableBinomialProtocol(params, provers=provers, rng=rng)
-    clients = [
+    engine = ProtocolEngine(params, provers=provers, rng=rng)
+    engine.submit_clients(
         Client(f"client-{i}", [i % 2], rng.fork(f"c{i}")) for i in range(n_clients)
-    ]
-    result = protocol.run(clients)
+    )
+    result = engine.run_release()
     audit = result.release.audit
     detected = audit.provers.get("prover-1") is ProverStatus.FAILED_FINAL_CHECK
     victim_included = audit.clients.get(victim) is ClientStatus.VALID
@@ -185,14 +187,16 @@ def collusion_attack_on_pibin(
 ) -> AttackOutcome:
     """ΠBin: the illegal input cannot carry a valid Σ-OR proof — rejected."""
     rng = rng or SeededRNG("fig1b-pibin")
-    params = setup(1.0, 2**-10, num_provers=2, group=_TEST_GROUP, nb_override=32)
-    protocol = VerifiableBinomialProtocol(params, rng=rng)
+    session = Session(
+        CountQuery(1.0, 2**-10), num_provers=2, group=_TEST_GROUP, nb_override=32, rng=rng
+    )
     clients: list[Client] = [
         Client(f"client-{i}", [i % 2], rng.fork(f"c{i}")) for i in range(n_clients)
     ]
     cheater = NonBinaryClient("client-evil", [3], rng.fork("evil"))
     clients.append(cheater)
-    result = protocol.run(clients)
+    session.submit(clients)
+    result = session.release()
     audit = result.release.audit
     status = audit.clients.get("client-evil")
     rejected = status is ClientStatus.INVALID_PROOF
@@ -254,12 +258,12 @@ def noise_biasing_on_pibin(
     rng = rng or SeededRNG("noise-bias-pibin")
     params = setup(1.0, 2**-10, num_provers=1, group=_TEST_GROUP, nb_override=32)
     cheater = OutputTamperingProver("prover-0", params, rng.fork("p0"), bias=bias)
-    protocol = VerifiableBinomialProtocol(params, provers=[cheater], rng=rng)
-    clients = [
+    engine = ProtocolEngine(params, provers=[cheater], rng=rng)
+    engine.submit_clients(
         Client(f"client-{i}", [1 if i % 3 == 0 else 0], rng.fork(f"client-{i}"))
         for i in range(n_clients)
-    ]
-    result = protocol.run(clients)
+    )
+    result = engine.run_release()
     audit = result.release.audit
     detected = audit.provers.get("prover-0") is ProverStatus.FAILED_FINAL_CHECK
     return AttackOutcome(

@@ -1,13 +1,5 @@
 """Composing ΠBin with existing (non-verifiable) DP-MPC systems.
 
-.. deprecated::
-    :class:`VerifiableNoiseWrapper` warns once per calling module; new code
-    should run full queries through :class:`repro.api.Session`.  The
-    wrapper remains for the PRIO/Poplar composition story and now rides
-    the same coin-phase machinery as the session engine
-    (:meth:`repro.core.prover.Prover.begin_coin_stream` and friends)
-    instead of carrying its own copy.
-
 The paper (contribution 3) notes that ΠBin "can be combined with existing
 (non-verifiable) DP-MPC protocols, such as PRIO and Poplar, to enforce
 verifiability".  The precise composition implemented here:
@@ -29,6 +21,10 @@ because PRIO clients never publish per-share commitments.  Upgrading
 aggregate correctness too requires the full ΠBin client flow
 (:mod:`repro.api.session`).  The docstring-level contract matters:
 ``VerifiableNoiseWrapper`` verifies noise, not history.
+
+The wrapper rides the same coin-phase machinery as the session engine
+(:meth:`repro.core.prover.Prover.begin_coin_stream` and friends), so
+each attestation's transcript has the shape of a ΠBin prover's.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ from repro.crypto.pedersen import Commitment
 from repro.crypto.sigma.or_bit import BitProof, verify_bit
 from repro.errors import VerificationError
 from repro.mpc.morra import MorraParticipant, run_morra_batch
-from repro.utils.deprecation import warn_once
 from repro.utils.rng import RNG, default_rng
 
 __all__ = ["NoiseAttestation", "VerifiableNoiseWrapper"]
@@ -63,17 +58,11 @@ class NoiseAttestation:
 class VerifiableNoiseWrapper:
     """Attach verifiable Binomial noise to an outer aggregate.
 
-    .. deprecated:: prefer full ``repro.api.Session`` queries; the
-       wrapper verifies noise only.
+    Noise-only attestation: a full ``repro.api.Session`` query also
+    verifies the aggregate.
     """
 
     def __init__(self, params: PublicParams, rng: RNG | None = None) -> None:
-        warn_once(
-            "VerifiableNoiseWrapper",
-            "VerifiableNoiseWrapper is deprecated; prefer running full "
-            "queries through repro.api.Session (it verifies the aggregate "
-            "too, not just the noise)",
-        )
         if params.dimension != 1:
             raise VerificationError("wrapper operates per scalar aggregate; wrap each bin")
         self.params = params

@@ -607,11 +607,12 @@ def encode_message(message) -> bytes:
 # deterministic function of the public messages alone — absorb pp, the
 # commitment and both announcements, extract (and discard) the
 # challenge; no group exponentiations.  These helpers replay that
-# evolution without verifying, which is what lets chunk workers and
-# shard peers (repro.net.workers / repro.net.shard) hold the correct
-# transcript state for chunks they do not check.  They live here, next
-# to the coin-message codec, because the byte-level variant mirrors its
-# frame layout — a format change must touch both together.
+# evolution without verifying, which is what lets a streamed verifier
+# skip coin chunks (PublicVerifier.skip_coin_chunk, used by the shard
+# peers of repro.net.shard) and still hold the correct transcript state
+# for the chunks it does check.  They live here, next to the
+# coin-message codec, because the byte-level variant mirrors its frame
+# layout — a format change must touch both together.
 
 
 def advance_coin_transcript(params, transcript, message) -> None:
@@ -641,8 +642,8 @@ def advance_coin_transcript_frame(params, transcript, frame: bytes) -> None:
     already carries each element's canonical bytes — so prefix chunks can
     be replayed by pure length-prefix parsing plus hashing, skipping the
     per-element membership exponentiations entirely.  This is what makes
-    chunk workers cheap: the expensive validation runs exactly once, in
-    the worker that owns the chunk.
+    skipping a chunk cheap: the expensive validation runs exactly once,
+    on the shard that owns the chunk.
     """
     outer = decode_length_prefixed(frame)
     if len(outer) != 3:

@@ -15,8 +15,6 @@ This package closes that gap without touching the protocol engine:
   :class:`repro.api.engine.ProtocolEngine` against :class:`RemoteProver`
   proxies), :class:`ServerNode` (hosts one real prover) and
   :class:`ClientRunner` (submits wire-encoded enrollments).
-* :mod:`repro.net.workers` — a process pool for parallel per-prover and
-  per-chunk coin verification (the streams are embarrassingly parallel).
 * :mod:`repro.net.shard` — sharded serving: a :class:`ShardedAnalyst`
   front-end partitions one client stream across S :class:`ShardWorker`
   verification peers and merges their verdicts/products into a release
@@ -64,7 +62,6 @@ from repro.net.transport import (
     Transport,
     multiprocess_star,
 )
-from repro.net.workers import VerificationPool
 
 __all__ = [
     "Transport",
@@ -77,7 +74,6 @@ __all__ = [
     "ServerNode",
     "ClientRunner",
     "RemoteProver",
-    "VerificationPool",
     "ShardedAnalyst",
     "ShardWorker",
     "run_distributed_session",

@@ -47,6 +47,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import signal
 import threading
 import time
 from collections import deque
@@ -250,6 +251,10 @@ def _clients_peer_main(host, port, sid, query, values, seed, timeout):
 
 def _frontend_main(name: str, conn, config: FleetConfig) -> None:
     """Worker process entry: run one front-end until told to stop."""
+    # A forked front-end inherits its parent's signal handlers, and
+    # ``repro serve --fleet --listen`` turns its own SIGTERM into a
+    # drain.  A front-end must still die on SIGTERM (``terminate()``).
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         asyncio.run(_FrontEnd(name, conn, config).run())
     finally:

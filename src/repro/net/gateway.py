@@ -232,6 +232,12 @@ class FleetGateway:
         if self._closed.is_set():
             return
         self._closed.set()
+        # close() alone does not wake the thread blocked in accept();
+        # shutting the listener down first does.
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:

@@ -18,6 +18,7 @@ redesign promises (same engine, same RNG streams, different substrate).
 from __future__ import annotations
 
 import asyncio
+import signal
 import socket
 import statistics
 import sys
@@ -918,14 +919,22 @@ def _main_fleet(args, query: Query, values) -> int:
     return 0 if outcome["accepted"] else 1
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _main_fleet_gateway(args, query: Query, config: FleetConfig) -> int:
     """``repro serve --fleet --listen PORT``: serve an open-ended session
     stream admitted over TCP (the ``repro loadgen`` target) instead of a
     fixed batch.  Runs until ``--serve-seconds`` elapses (or forever,
-    Ctrl-C to stop), then drains: everything admitted finishes, nothing
-    new is let in."""
+    Ctrl-C or SIGTERM to stop), then drains: everything admitted
+    finishes, nothing new is let in."""
     metrics, metrics_server = _start_metrics(args)
     dispatcher = FleetDispatcher(config, metrics=metrics)
+    # SIGTERM (a supervisor's stop) takes the Ctrl-C path: close, drain,
+    # summary.  Its default action would kill this process and orphan
+    # the front-end processes.
+    previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
     dispatcher.start()
     gateway = None
     try:
@@ -962,6 +971,7 @@ def _main_fleet_gateway(args, query: Query, config: FleetConfig) -> int:
         dispatcher.stop()
         if metrics_server is not None:
             metrics_server.close()
+        signal.signal(signal.SIGTERM, previous_sigterm)
     statuses: dict[str, int] = {}
     for outcome in dispatcher.outcomes.values():
         statuses[outcome.status] = statuses.get(outcome.status, 0) + 1

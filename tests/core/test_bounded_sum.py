@@ -1,117 +1,167 @@
 """The bounded-sum extension: range proofs + verifiable scaled noise."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.bounded_sum import VerifiableBoundedSum
+from repro.api import BoundedSumQuery
+from repro.api.engine import ProtocolEngine, fork_rng
+from repro.core.messages import ClientStatus
+from repro.core.prover import OutputTamperingProver
+from repro.core.verifier import PublicVerifier
 from repro.errors import ParameterError
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
 
 
-def build(bits=4, nb=16, seed="bs"):
-    return VerifiableBoundedSum(
-        bits, epsilon=1.0, delta=2**-10, group=GROUP, nb_override=nb,
-        rng=SeededRNG(seed),
+def build(bits=4, nb=16):
+    """A curator-model (K = 1) bounded-sum query and its public parameters."""
+    query = BoundedSumQuery(bits, epsilon=1.0, delta=2**-10)
+    return query, query.build_params(num_provers=1, group=GROUP, nb_override=nb)
+
+
+def submit(query, params, client_id, value, rng):
+    """A client's range-proved (broadcast, [share message]) submission."""
+    return query.make_client(client_id, value, rng).submit(params)
+
+
+def validate(query, params, broadcast):
+    """Anyone can check a submission's range proof."""
+    verifier = PublicVerifier(params, SeededRNG("v"), plan=query.build_plan())
+    return verifier.validate_client(broadcast) is ClientStatus.VALID
+
+
+def run(query, params, submissions, *, curator_rng, tamper_bias=0):
+    """Validate clients, aggregate, add verifiable Δ-scaled noise.
+
+    ``tamper_bias`` makes the curator shift its output; any non-zero
+    value is caught by the final homomorphic check.
+    """
+    plan = query.build_plan()
+    provers = None
+    if tamper_bias:
+        provers = [
+            OutputTamperingProver(
+                "prover-0", params, fork_rng(curator_rng, "prover-0"),
+                bias=tamper_bias, plan=plan,
+            )
+        ]
+    engine = ProtocolEngine(params, plan=plan, provers=provers, rng=curator_rng)
+    engine.submit_prepared(submissions)
+    return engine.run_release().release
+
+
+def rejected_clients(release):
+    return tuple(
+        client_id
+        for client_id, status in release.audit.clients.items()
+        if status is not ClientStatus.VALID
     )
 
 
 class TestSubmissions:
     def test_submit_and_validate(self):
-        system = build()
-        submission, openings = system.submit("c0", 11, SeededRNG("s"))
-        assert len(submission.bit_commitments) == 4
-        assert system.validate(submission)
+        query, params = build()
+        broadcast, _ = submit(query, params, "c0", 11, SeededRNG("s"))
+        assert len(broadcast.share_commitments[0]) == 4
+        assert validate(query, params, broadcast)
 
     def test_derived_commitment_opens_to_value(self):
-        system = build()
-        submission, openings = system.submit("c0", 13, SeededRNG("d"))
-        derived = submission.derived_value_commitment(system.params)
+        query, params = build()
+        broadcast, privates = submit(query, params, "c0", 13, SeededRNG("d"))
+        derived = params.pedersen.commitment_to_constant(0)
+        for j, c in enumerate(broadcast.share_commitments[0]):
+            derived = derived * (c ** (1 << j))
+        openings = privates[0].openings
         value = sum((1 << j) * o.value for j, o in enumerate(openings))
         randomness = sum((1 << j) * o.randomness for j, o in enumerate(openings))
-        q = system.params.q
-        assert system.params.pedersen.commit(value % q, randomness % q).element == derived.element
+        q = params.q
+        assert params.pedersen.commit(value % q, randomness % q).element == derived.element
         assert value == 13
 
     def test_out_of_range_rejected_at_submit(self):
-        system = build(bits=3)
+        query, params = build(bits=3)
         with pytest.raises(ParameterError):
-            system.submit("c0", 8, SeededRNG("x"))
+            submit(query, params, "c0", 8, SeededRNG("x"))
         with pytest.raises(ParameterError):
-            system.submit("c0", -1, SeededRNG("x"))
+            submit(query, params, "c0", -1, SeededRNG("x"))
 
     def test_foreign_proof_fails_validation(self):
-        system = build()
-        sub_a, _ = system.submit("alice", 5, SeededRNG("a"))
-        sub_b, _ = system.submit("bob", 5, SeededRNG("b"))
-        from repro.core.bounded_sum import RangeCommitment
-
-        franken = RangeCommitment("alice", sub_a.bit_commitments, sub_b.bit_proofs)
-        assert not system.validate(franken)
+        query, params = build()
+        sub_a, _ = submit(query, params, "alice", 5, SeededRNG("a"))
+        sub_b, _ = submit(query, params, "bob", 5, SeededRNG("b"))
+        franken = dataclasses.replace(sub_a, validity_proof=sub_b.validity_proof)
+        assert not validate(query, params, franken)
 
     def test_wrong_width_fails_validation(self):
-        system = build(bits=4)
-        sub, _ = system.submit("c", 3, SeededRNG("w"))
-        from repro.core.bounded_sum import RangeCommitment
-
-        short = RangeCommitment("c", sub.bit_commitments[:3], sub.bit_proofs[:3])
-        assert not system.validate(short)
+        query, params = build(bits=4)
+        sub, _ = submit(query, params, "c", 3, SeededRNG("w"))
+        short = dataclasses.replace(
+            sub,
+            share_commitments=(sub.share_commitments[0][:3],),
+            validity_proof=dataclasses.replace(
+                sub.validity_proof, bit_proofs=sub.validity_proof.bit_proofs[:3]
+            ),
+        )
+        assert not validate(query, params, short)
 
 
 class TestProtocolRun:
     def test_honest_run_accepts(self):
-        system = build(nb=8, seed="run")
+        query, params = build(nb=8)
         values = [3, 7, 12, 0, 15]
         submissions = [
-            system.submit(f"c{i}", v, SeededRNG(f"c{i}")) for i, v in enumerate(values)
+            submit(query, params, f"c{i}", v, SeededRNG(f"c{i}"))
+            for i, v in enumerate(values)
         ]
-        release = system.run(submissions, curator_rng=SeededRNG("cur"))
+        release = run(query, params, submissions, curator_rng=SeededRNG("cur"))
         assert release.accepted
-        assert release.rejected_clients == ()
+        assert rejected_clients(release) == ()
         true = sum(values)
-        max_dev = system.sensitivity * system.params.nb / 2
-        assert abs(release.estimate - true) <= max_dev + 1
+        max_dev = query.sensitivity * params.nb / 2
+        assert abs(release.estimate[0] - true) <= max_dev + 1
 
     def test_noise_in_scaled_support(self):
-        system = build(nb=8, seed="sup")
-        submissions = [system.submit("c0", 5, SeededRNG("c0"))]
-        release = system.run(submissions, curator_rng=SeededRNG("cur2"))
-        noise = release.raw - 5
-        assert 0 <= noise <= system.sensitivity * system.params.nb
-        assert noise % system.sensitivity == 0  # noise is Δ·Binomial
+        query, params = build(nb=8)
+        submissions = [submit(query, params, "c0", 5, SeededRNG("c0"))]
+        release = run(query, params, submissions, curator_rng=SeededRNG("cur2"))
+        noise = release.raw[0] - 5
+        assert 0 <= noise <= query.sensitivity * params.nb
+        assert noise % query.sensitivity == 0  # noise is Δ·Binomial
 
     def test_tampering_curator_caught(self):
-        system = build(nb=8, seed="tam")
-        submissions = [system.submit("c0", 9, SeededRNG("c0"))]
-        release = system.run(
-            submissions, curator_rng=SeededRNG("cur3"), tamper_bias=5
+        query, params = build(nb=8)
+        submissions = [submit(query, params, "c0", 9, SeededRNG("c0"))]
+        release = run(
+            query, params, submissions, curator_rng=SeededRNG("cur3"), tamper_bias=5
         )
         assert not release.accepted
 
     def test_invalid_submission_excluded(self):
-        system = build(nb=8, seed="exc")
-        good = system.submit("good", 6, SeededRNG("g"))
-        bad_sub, bad_open = system.submit("bad", 6, SeededRNG("b"))
-        from repro.core.bounded_sum import RangeCommitment
-
+        query, params = build(nb=8)
+        good = submit(query, params, "good", 6, SeededRNG("g"))
+        bad_sub, bad_open = submit(query, params, "bad", 6, SeededRNG("b"))
         franken = (
-            RangeCommitment("bad", bad_sub.bit_commitments[::-1], bad_sub.bit_proofs),
+            dataclasses.replace(
+                bad_sub, share_commitments=(bad_sub.share_commitments[0][::-1],)
+            ),
             bad_open,
         )
-        release = system.run([good, franken], curator_rng=SeededRNG("cur4"))
+        release = run(query, params, [good, franken], curator_rng=SeededRNG("cur4"))
         assert release.accepted
-        assert release.rejected_clients == ("bad",)
+        assert rejected_clients(release) == ("bad",)
         # Only 'good' counted: raw <= 6 + Δ·nb.
-        assert release.raw <= 6 + system.sensitivity * system.params.nb
+        assert release.raw[0] <= 6 + query.sensitivity * params.nb
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            VerifiableBoundedSum(0, 1.0, 2**-10, group=GROUP)
+            BoundedSumQuery(0, 1.0, 2**-10)
         with pytest.raises(ParameterError):
-            VerifiableBoundedSum(33, 1.0, 2**-10, group=GROUP)
+            BoundedSumQuery(33, 1.0, 2**-10)
 
     def test_privacy_calibration_scales_with_sensitivity(self):
         """Wider values ⇒ smaller per-coin ε ⇒ more coins."""
-        narrow = VerifiableBoundedSum(2, 1.0, 2**-10, group=GROUP)
-        wide = VerifiableBoundedSum(8, 1.0, 2**-10, group=GROUP)
-        assert wide.params.nb > narrow.params.nb
+        narrow = BoundedSumQuery(2, 1.0, 2**-10).build_params(num_provers=1, group=GROUP)
+        wide = BoundedSumQuery(8, 1.0, 2**-10).build_params(num_provers=1, group=GROUP)
+        assert wide.nb > narrow.nb

@@ -2,26 +2,34 @@
 
 import pytest
 
+from repro.api.engine import ProtocolEngine, fork_rng
 from repro.core.bulletin import replay_audit
 from repro.core.client import Client, NonBinaryClient
 from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.prover import OutputTamperingProver, Prover
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
 
 
-def run_and_publish(*, provers=None, clients=None, k=1, dimension=1, seed="bb"):
-    params = setup(
-        1.0, 2**-10, num_provers=k, group=GROUP, nb_override=16, dimension=dimension
-    )
-    protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG(seed))
+def run_engine(params, clients=None, *, bits=(1, 0, 1), provers=None, seed="bb"):
+    """One buffered engine run; ``clients=None`` enrolls ``bits`` as
+    ``client-i``, each forked from the run's RNG."""
+    rng = SeededRNG(seed)
+    engine = ProtocolEngine(params, provers=provers, rng=rng)
     if clients is None:
-        result = protocol.run_bits([1, 0, 1])
-    else:
-        result = protocol.run(clients)
+        clients = [
+            Client(f"client-{i}", [bit], fork_rng(rng, f"client-{i}"))
+            for i, bit in enumerate(bits)
+        ]
+    engine.submit_clients(clients)
+    return engine.run_release()
+
+
+def run_and_publish(*, k=1, seed="bb"):
+    params = setup(1.0, 2**-10, num_provers=k, group=GROUP, nb_override=16)
+    result = run_engine(params, seed=seed)
     return params, result, result.to_bulletin(params)
 
 
@@ -40,12 +48,11 @@ class TestHonestReplay:
 
     def test_replay_histogram_dimension(self):
         params = setup(1.0, 2**-10, num_provers=2, dimension=3, group=GROUP, nb_override=8)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("bbh"))
         clients = [
             Client(f"c{i}", [1 if m == i % 3 else 0 for m in range(3)], SeededRNG(f"c{i}"))
             for i in range(5)
         ]
-        result = protocol.run(clients)
+        result = run_engine(params, clients, seed="bbh")
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.all_provers_honest()
 
@@ -61,17 +68,15 @@ class TestDishonestRunsReplay:
     def test_cheating_prover_detected_from_bytes(self):
         params = setup(1.0, 2**-10, num_provers=1, group=GROUP, nb_override=16)
         cheater = OutputTamperingProver("prover-0", params, SeededRNG("c"), bias=4)
-        protocol = VerifiableBinomialProtocol(params, provers=[cheater], rng=SeededRNG("bb4"))
-        result = protocol.run_bits([1, 0])
+        result = run_engine(params, bits=[1, 0], provers=[cheater], seed="bb4")
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.provers["prover-0"] is ProverStatus.FAILED_FINAL_CHECK
 
     def test_dishonest_client_rejected_from_bytes(self):
         params = setup(1.0, 2**-10, num_provers=2, group=GROUP, nb_override=8)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("bb5"))
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(3)]
         clients.append(NonBinaryClient("evil", [4], SeededRNG("e")))
-        result = protocol.run(clients)
+        result = run_engine(params, clients, seed="bb5")
         replayed = replay_audit(params, result.to_bulletin(params))
         assert replayed.clients["evil"] is ClientStatus.INVALID_PROOF
         assert replayed.clients["c0"] is ClientStatus.VALID

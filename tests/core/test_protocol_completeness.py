@@ -8,23 +8,24 @@ distributionally (across repeated runs).
 import pytest
 
 from repro.analysis.distributions import binomial_goodness_of_fit
+from repro.api import CountQuery, HistogramQuery, Session
+from repro.api.engine import ProtocolEngine
 from repro.core.client import Client
 from repro.core.messages import ClientStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.errors import ParameterError
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
 
 
-def run_once(bits, *, num_provers=1, nb=32, seed="c", dimension=1):
-    params = setup(
-        1.0, 2**-10, num_provers=num_provers, group=GROUP, nb_override=nb,
-        dimension=dimension,
+def run_once(bits, *, num_provers=1, nb=32, seed="c"):
+    session = Session(
+        CountQuery(1.0, 2**-10), num_provers=num_provers, group=GROUP,
+        nb_override=nb, rng=SeededRNG(seed),
     )
-    protocol = VerifiableBinomialProtocol(params, rng=SeededRNG(seed))
-    return params, protocol.run_bits(bits) if dimension == 1 else None
+    session.submit(bits)
+    return session.params, session.release()[0].engine_result
 
 
 class TestCuratorModel:
@@ -66,11 +67,9 @@ class TestCuratorModel:
         """Across many runs the protocol noise is Binomial(nb, 1/2) —
         the completeness distribution claim, tested at the protocol level."""
         nb = 16
-        params = setup(1.0, 2**-10, group=GROUP, nb_override=nb)
         noises = []
         for t in range(120):
-            protocol = VerifiableBinomialProtocol(params, rng=SeededRNG(f"dist{t}"))
-            result = protocol.run_bits([1, 0, 1])
+            _, result = run_once([1, 0, 1], nb=nb, seed=f"dist{t}")
             assert result.release.accepted
             noises.append(result.release.raw[0] - 2)
         assert binomial_goodness_of_fit(noises, nb) > 0.001
@@ -85,11 +84,9 @@ class TestMpcModel:
     def test_mpc_noise_is_k_copies(self):
         """K provers ⇒ noise support is [0, K·nb] and mean K·nb/2."""
         nb, k = 24, 2
-        params = setup(1.0, 2**-10, num_provers=k, group=GROUP, nb_override=nb)
         noises = []
         for t in range(60):
-            protocol = VerifiableBinomialProtocol(params, rng=SeededRNG(f"k{t}"))
-            result = protocol.run_bits([1])
+            _, result = run_once([1], num_provers=k, nb=nb, seed=f"k{t}")
             noises.append(result.release.raw[0] - 1)
         assert all(0 <= z <= k * nb for z in noises)
         mean = sum(noises) / len(noises)
@@ -106,25 +103,21 @@ class TestMpcModel:
 
 class TestHistogramDimension:
     def test_m_dimensional_counts(self):
-        params = setup(
-            1.0, 2**-10, num_provers=2, dimension=3, group=GROUP, nb_override=24
+        session = Session(
+            HistogramQuery(3, 1.0, 2**-10), num_provers=2, group=GROUP,
+            nb_override=24, rng=SeededRNG("hist"),
         )
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("hist"))
+        params = session.params
         clients = [
             Client(f"c{i}", [1 if m == i % 3 else 0 for m in range(3)], SeededRNG(f"c{i}"))
             for i in range(9)
         ]
-        result = protocol.run(clients)
+        session.submit(clients)
+        result = session.release()
         assert result.release.accepted
         for m in range(3):
             noise = result.release.raw[m] - 3
             assert 0 <= noise <= 2 * params.nb
-
-    def test_run_bits_requires_dimension_one(self):
-        params = setup(1.0, 2**-10, dimension=2, group=GROUP, nb_override=24)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("rb"))
-        with pytest.raises(ParameterError):
-            protocol.run_bits([1, 0])
 
 
 class TestConstruction:
@@ -133,16 +126,14 @@ class TestConstruction:
 
         params = setup(1.0, 2**-10, num_provers=2, group=GROUP, nb_override=24)
         with pytest.raises(ParameterError):
-            VerifiableBinomialProtocol(
-                params, provers=[Prover("p", params)], rng=SeededRNG("x")
-            )
+            ProtocolEngine(params, provers=[Prover("p", params)], rng=SeededRNG("x"))
 
     def test_duplicate_prover_names_rejected(self):
         from repro.core.prover import Prover
 
         params = setup(1.0, 2**-10, num_provers=2, group=GROUP, nb_override=24)
         with pytest.raises(ParameterError):
-            VerifiableBinomialProtocol(
+            ProtocolEngine(
                 params,
                 provers=[Prover("p", params), Prover("p", params)],
                 rng=SeededRNG("x"),

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api.engine import ProtocolEngine, fork_rng
 from repro.core.client import Client
 from repro.core.messages import ClientShareMessage, ProverStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.prover import Prover
 from repro.errors import EarlyExit, ProtocolAbort
 from repro.utils.rng import SeededRNG
@@ -15,6 +15,16 @@ GROUP = "p64-sim"
 
 def make_params(k=1, nb=8):
     return setup(1.0, 2**-10, num_provers=k, group=GROUP, nb_override=nb)
+
+
+def run_bits(params, provers, bits, seed):
+    rng = SeededRNG(seed)
+    engine = ProtocolEngine(params, provers=provers, rng=rng)
+    engine.submit_clients(
+        Client(f"client-{i}", [bit], fork_rng(rng, f"client-{i}"))
+        for i, bit in enumerate(bits)
+    )
+    return engine.run_release()
 
 
 class SilentMorraProver(Prover):
@@ -58,9 +68,8 @@ class TestMorraFailures:
         output discarded' semantics."""
         params = make_params()
         prover = SilentMorraProver("prover-0", params, SeededRNG("s"))
-        protocol = VerifiableBinomialProtocol(params, provers=[prover], rng=SeededRNG("x"))
         with pytest.raises(EarlyExit) as err:
-            protocol.run_bits([1, 0])
+            run_bits(params, [prover], [1, 0], "x")
         assert err.value.party == "prover-0"
 
     def test_morra_equivocation_aborts_and_names(self):
@@ -68,9 +77,8 @@ class TestMorraFailures:
         # 'prover-0' < 'verifier' lexicographically, so the prover reveals
         # last and observes the verifier's opening first — the adaptive spot.
         prover = EquivocatingMorraProver("prover-0", params, SeededRNG("e"))
-        protocol = VerifiableBinomialProtocol(params, provers=[prover], rng=SeededRNG("y"))
         with pytest.raises(ProtocolAbort) as err:
-            protocol.run_bits([1])
+            run_bits(params, [prover], [1], "y")
         assert err.value.party == "prover-0"
 
 
@@ -78,16 +86,14 @@ class TestOutputFailures:
     def test_misshapen_output_rejected(self):
         params = make_params()
         prover = MisshapenOutputProver("prover-0", params, SeededRNG("m"))
-        protocol = VerifiableBinomialProtocol(params, provers=[prover], rng=SeededRNG("z"))
-        result = protocol.run_bits([1, 0])
+        result = run_bits(params, [prover], [1, 0], "z")
         assert not result.release.accepted
         assert result.release.audit.provers["prover-0"] is ProverStatus.FAILED_FINAL_CHECK
 
     def test_aggregation_abort_recorded(self):
         params = make_params()
         prover = AbortingAggregationProver("prover-0", params, SeededRNG("a"))
-        protocol = VerifiableBinomialProtocol(params, provers=[prover], rng=SeededRNG("w"))
-        result = protocol.run_bits([1])
+        result = run_bits(params, [prover], [1], "w")
         assert not result.release.accepted
         assert result.release.audit.provers["prover-0"] is ProverStatus.ABORTED
 
@@ -97,8 +103,7 @@ class TestOutputFailures:
             AbortingAggregationProver("prover-0", params, SeededRNG("a")),
             Prover("prover-1", params, SeededRNG("h")),
         ]
-        protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG("v"))
-        result = protocol.run_bits([1, 1])
+        result = run_bits(params, provers, [1, 1], "v")
         audit = result.release.audit
         assert audit.provers["prover-0"] is ProverStatus.ABORTED
         assert audit.provers["prover-1"] is ProverStatus.HONEST

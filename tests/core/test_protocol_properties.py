@@ -7,13 +7,20 @@ consistency — must hold for every configuration.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.api import CountQuery, HistogramQuery, Session
 from repro.core.client import Client
 from repro.core.messages import ClientStatus
-from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.utils.rng import SeededRNG
 
 GROUP = "p64-sim"
+
+
+def run_session(query, records, *, k=1, nb, seed):
+    session = Session(
+        query, num_provers=k, group=GROUP, nb_override=nb, rng=SeededRNG(seed)
+    )
+    session.submit(records)
+    return session.params, session.release()[0].engine_result
 
 
 class TestCompletenessProperties:
@@ -24,10 +31,8 @@ class TestCompletenessProperties:
     )
     @settings(max_examples=20, deadline=None)
     def test_honest_run_invariants(self, bits, k, nb):
-        params = setup(1.0, 2**-10, num_provers=k, group=GROUP, nb_override=nb)
         seed = f"prop-{len(bits)}-{k}-{nb}"
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG(seed))
-        result = protocol.run_bits(bits)
+        _, result = run_session(CountQuery(1.0, 2**-10), bits, k=k, nb=nb, seed=seed)
         release = result.release
 
         # 1. Honest runs always accept (completeness, δc = 0).
@@ -51,12 +56,6 @@ class TestCompletenessProperties:
     @settings(max_examples=10, deadline=None)
     def test_histogram_invariants(self, dimension, choices):
         choices = [c % dimension for c in choices]
-        params = setup(
-            1.0, 2**-10, num_provers=2, dimension=dimension, group=GROUP, nb_override=6
-        )
-        protocol = VerifiableBinomialProtocol(
-            params, rng=SeededRNG(f"h-{dimension}-{len(choices)}")
-        )
         clients = [
             Client(
                 f"c{i}",
@@ -65,7 +64,10 @@ class TestCompletenessProperties:
             )
             for i, choice in enumerate(choices)
         ]
-        result = protocol.run(clients)
+        params, result = run_session(
+            HistogramQuery(dimension, 1.0, 2**-10), clients,
+            k=2, nb=6, seed=f"h-{dimension}-{len(choices)}",
+        )
         assert result.release.accepted
         true = [choices.count(m) for m in range(dimension)]
         for m in range(dimension):
@@ -76,8 +78,8 @@ class TestCompletenessProperties:
     @settings(max_examples=10, deadline=None)
     def test_determinism_per_seed(self, bits):
         """Same seed ⇒ identical release; different seed ⇒ fresh noise."""
-        params = setup(1.0, 2**-10, group=GROUP, nb_override=8)
-        one = VerifiableBinomialProtocol(params, rng=SeededRNG("det")).run_bits(bits)
-        two = VerifiableBinomialProtocol(params, rng=SeededRNG("det")).run_bits(bits)
+        query = CountQuery(1.0, 2**-10)
+        _, one = run_session(query, bits, nb=8, seed="det")
+        _, two = run_session(query, bits, nb=8, seed="det")
         assert one.release.raw == two.release.raw
         assert one.public_bits == two.public_bits

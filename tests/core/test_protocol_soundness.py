@@ -7,10 +7,11 @@ private coins) are *not* flagged.
 
 import pytest
 
+from repro.api import CountQuery, Session
+from repro.api.engine import ProtocolEngine, fork_rng
 from repro.core.client import Client, InconsistentShareClient, NonBinaryClient
 from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.prover import (
     BiasedCoinProver,
     InputDroppingProver,
@@ -32,8 +33,20 @@ def params_k(k, nb=32, dimension=1):
 
 
 def run_with_provers(provers, params, bits, seed="s"):
-    protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG(seed))
-    return protocol.run_bits(bits)
+    rng = SeededRNG(seed)
+    engine = ProtocolEngine(params, provers=provers, rng=rng)
+    engine.submit_clients(
+        Client(f"client-{i}", [bit], fork_rng(rng, f"client-{i}"))
+        for i, bit in enumerate(bits)
+    )
+    return engine.run_release()
+
+
+def session_k(k, nb=32, seed="s"):
+    return Session(
+        CountQuery(1.0, 2**-10), num_provers=k, group=GROUP, nb_override=nb,
+        rng=SeededRNG(seed),
+    )
 
 
 BITS = [1, 0, 1, 1, 0, 0, 1]
@@ -121,21 +134,19 @@ class TestHarmlessDeviations:
         noises = []
         for t in range(100):
             cheater = BiasedCoinProver("prover-0", params, SeededRNG(f"bc{t}"))
-            protocol = VerifiableBinomialProtocol(
-                params, provers=[cheater], rng=SeededRNG(f"r{t}")
-            )
-            result = protocol.run_bits([1])
+            result = run_with_provers([cheater], params, [1], seed=f"r{t}")
             noises.append(result.release.raw[0] - 1)
         assert binomial_goodness_of_fit(noises, nb) > 0.001
 
 
 class TestDishonestClients:
     def test_non_binary_client_rejected(self):
-        params = params_k(2)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("nb"))
+        session = session_k(2, seed="nb")
+        params = session.params
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(4)]
         clients.append(NonBinaryClient("evil", [5], SeededRNG("evil")))
-        result = protocol.run(clients)
+        session.submit(clients)
+        result = session.release()
         assert result.release.accepted  # provers are honest; release stands
         assert result.release.audit.clients["evil"] is ClientStatus.INVALID_PROOF
         # The four honest inputs (all 1) are counted; evil's 5 votes are not.
@@ -143,13 +154,13 @@ class TestDishonestClients:
         assert 4 <= result.release.raw[0] <= 4 + noise_max
 
     def test_inconsistent_share_client_excluded_everywhere(self):
-        params = params_k(2)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("inc"))
+        session = session_k(2, seed="inc")
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(3)]
         clients.append(
             InconsistentShareClient("evil", [1], victim_prover=1, rng=SeededRNG("e"))
         )
-        result = protocol.run(clients)
+        session.submit(clients)
+        result = session.release()
         assert result.release.accepted
         assert result.release.audit.clients["evil"] is ClientStatus.BAD_OPENING
         assert result.release.audit.clients["c0"] is ClientStatus.VALID
@@ -158,11 +169,11 @@ class TestDishonestClients:
         """With zero noise coins impossible (nb>=1), run many trials:
         the rejected client's bit must never be counted.  Here nb small
         and inputs chosen so the bound is tight."""
-        params = params_k(1, nb=4)
-        protocol = VerifiableBinomialProtocol(params, rng=SeededRNG("ex"))
+        session = session_k(1, nb=4, seed="ex")
         clients = [Client("c0", [0], SeededRNG("c0"))]
         clients.append(NonBinaryClient("evil", [7], SeededRNG("ev")))
-        result = protocol.run(clients)
+        session.submit(clients)
+        result = session.release()
         # Only honest input 0 plus noise in [0, 4]: raw <= 4 < 7.
         assert result.release.raw[0] <= 4
 
@@ -188,10 +199,11 @@ class TestMultipleCheaters:
             Prover("prover-0", params, SeededRNG("p0")),
             OutputTamperingProver("prover-1", params, SeededRNG("p1"), bias=3),
         ]
-        protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG("cc"))
+        engine = ProtocolEngine(params, provers=provers, rng=SeededRNG("cc"))
         clients = [Client(f"c{i}", [1], SeededRNG(f"c{i}")) for i in range(3)]
         clients.append(NonBinaryClient("evil", [9], SeededRNG("e")))
-        result = protocol.run(clients)
+        engine.submit_clients(clients)
+        result = engine.run_release()
         audit = result.release.audit
         assert audit.clients["evil"] is ClientStatus.INVALID_PROOF
         assert audit.provers["prover-1"] is ProverStatus.FAILED_FINAL_CHECK

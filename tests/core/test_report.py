@@ -2,8 +2,9 @@
 
 import json
 
+from repro.api.engine import ProtocolEngine, fork_rng
+from repro.core.client import Client
 from repro.core.params import setup
-from repro.core.protocol import VerifiableBinomialProtocol
 from repro.core.prover import OutputTamperingProver
 from repro.core.report import render_report, run_report
 from repro.utils.rng import SeededRNG
@@ -11,10 +12,23 @@ from repro.utils.rng import SeededRNG
 GROUP = "p64-sim"
 
 
-def run_once(provers=None, seed="rep"):
-    params = setup(1.0, 2**-10, num_provers=1, group=GROUP, nb_override=8)
-    protocol = VerifiableBinomialProtocol(params, provers=provers, rng=SeededRNG(seed))
-    return params, protocol.run_bits([1, 0, 1])
+def make_params():
+    return setup(1.0, 2**-10, num_provers=1, group=GROUP, nb_override=8)
+
+
+def run_bits(params, bits, *, provers=None, seed="rep"):
+    rng = SeededRNG(seed)
+    engine = ProtocolEngine(params, provers=provers, rng=rng)
+    engine.submit_clients(
+        Client(f"client-{i}", [bit], fork_rng(rng, f"client-{i}"))
+        for i, bit in enumerate(bits)
+    )
+    return engine.run_release()
+
+
+def run_once(seed="rep"):
+    params = make_params()
+    return params, run_bits(params, [1, 0, 1], seed=seed)
 
 
 class TestRunReport:
@@ -41,10 +55,9 @@ class TestRunReport:
         assert est == raw - report["release"]["noise_mean_removed"]
 
     def test_cheater_visible_in_report(self):
-        params = setup(1.0, 2**-10, num_provers=1, group=GROUP, nb_override=8)
+        params = make_params()
         cheater = OutputTamperingProver("prover-0", params, SeededRNG("c"), bias=3)
-        protocol = VerifiableBinomialProtocol(params, provers=[cheater], rng=SeededRNG("r"))
-        result = protocol.run_bits([1])
+        result = run_bits(params, [1], provers=[cheater], seed="r")
         report = run_report(params, result)
         assert report["release"]["accepted"] is False
         assert report["audit"]["provers"]["prover-0"] == "failed-final-check"

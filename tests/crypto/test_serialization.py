@@ -3,15 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.params import setup
+from repro.core.prover import Prover, coin_transcript
 from repro.crypto.fiat_shamir import Transcript
 from repro.crypto.serialization import (
+    advance_coin_transcript,
+    advance_coin_transcript_frame,
     decode_bit_proof,
     decode_commitment,
+    decode_message,
     decode_one_hot_proof,
     decode_opening_proof,
     decode_schnorr_proof,
     encode_bit_proof,
     encode_commitment,
+    encode_message,
     encode_one_hot_proof,
     encode_opening_proof,
     encode_schnorr_proof,
@@ -222,3 +228,55 @@ class TestOpeningRoundtrip:
                 pedersen64.group,
                 encode_length_prefixed(b"repro.opening.v1", b"x"),
             )
+
+
+class TestCoinTranscriptFastForward:
+    """The transcript fast-forward a streamed verifier uses to skip coin
+    chunks (``PublicVerifier.skip_coin_chunk``) must land exactly where
+    verifying those chunks would have."""
+
+    CONTEXT = b"workers-test"
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        return setup(1.0, 2**-10, num_provers=2, group="p64-sim", nb_override=64)
+
+    def _chunked_frames(self, params, chunks, rows):
+        prover = Prover("prover-0", params, SeededRNG("chunked"))
+        prover.begin_coin_stream(self.CONTEXT)
+        frames = []
+        for _ in range(chunks):
+            frames.append(encode_message(prover.commit_coin_chunk(rows)))
+            prover.absorb_public_bits([[0]] * rows)
+        return frames
+
+    def test_advance_matches_verification_transcript(self, params):
+        """Fast-forward must reproduce verify_bit's transcript exactly:
+        a chunk verified after an advanced prefix equals a chunk verified
+        after a verified prefix."""
+        frames = self._chunked_frames(params, chunks=2, rows=8)
+        first = decode_message(params.group, frames[0])
+        advanced = coin_transcript(params, "prover-0", self.CONTEXT)
+        advance_coin_transcript(params, advanced, first)
+
+        verified = coin_transcript(params, "prover-0", self.CONTEXT)
+        for c_row, p_row in zip(first.commitments, first.proofs):
+            for commitment, proof in zip(c_row, p_row):
+                verify_bit(params.pedersen, commitment, proof, verified)
+        assert advanced.challenge_bytes("probe", 16) == verified.challenge_bytes(
+            "probe", 16
+        )
+
+    def test_raw_frame_advance_matches_decoded_advance(self, params):
+        """The byte-level fast-forward (no element decoding) reaches the
+        same transcript state as advancing over the decoded message."""
+        frames = self._chunked_frames(params, chunks=1, rows=8)
+        decoded_path = coin_transcript(params, "prover-0", self.CONTEXT)
+        advance_coin_transcript(
+            params, decoded_path, decode_message(params.group, frames[0])
+        )
+        raw_path = coin_transcript(params, "prover-0", self.CONTEXT)
+        advance_coin_transcript_frame(params, raw_path, frames[0])
+        assert raw_path.challenge_bytes("probe", 16) == decoded_path.challenge_bytes(
+            "probe", 16
+        )

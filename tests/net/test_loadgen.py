@@ -11,10 +11,13 @@ Pinned here:
   agrees with the generator's own report (admitted == offered,
   in-flight back to 0);
 * malformed gateway requests are rejected with a reason, not a hang.
+* closing an idle gateway returns at once: the listener's blocked
+  ``accept()`` is woken, not waited out.
 """
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -137,6 +140,16 @@ class TestGatewayE2E:
         finally:
             gateway.close()
             dispatcher.stop()
+
+    def test_close_wakes_idle_listener_promptly(self):
+        """close() with no client connected must not wait out the
+        accept-thread join timeout: the blocked accept() is woken."""
+        gateway = FleetGateway(None, QUERY)
+        time.sleep(0.2)  # let the accept thread block in accept()
+        start = time.monotonic()
+        gateway.close()
+        assert time.monotonic() - start < 1.0
+        assert not gateway._accept_thread.is_alive()
 
 
 def _scrape(port: int) -> dict[str, float]:

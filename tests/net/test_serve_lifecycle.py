@@ -13,9 +13,18 @@ Bugs fixed in the serve layer, pinned here:
   dead infrastructure, so a supervisor (the fleet dispatcher, CI, an
   init system) could not tell "a party cheated/went silent" from "the
   serving substrate broke" — now they are distinct exit codes with the
-  attributed party on stderr.
+  attributed party on stderr;
+* ``repro serve --fleet --listen`` used to die on SIGTERM (exit -15)
+  and leave its front-end processes running; SIGTERM now drains like
+  Ctrl-C and exits 0.
 """
 
+import os
+import pathlib
+import select
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -222,3 +231,86 @@ class TestExitCodes:
         assert serve.EXIT_PROTOCOL_ABORT != serve.EXIT_INFRA_CRASH
         assert serve.EXIT_PROTOCOL_ABORT not in (0, 1, 2)
         assert serve.EXIT_INFRA_CRASH not in (0, 1, 2)
+
+
+def _descendants(root_pid):
+    """Every process below ``root_pid`` (scans /proc)."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        parents.setdefault(int(stat.rsplit(")", 1)[1].split()[1]), []).append(int(entry))
+    found, frontier = [], [root_pid]
+    while frontier:
+        children = parents.get(frontier.pop(), [])
+        found.extend(children)
+        frontier.extend(children)
+    return found
+
+
+def _catches_sigterm(pid):
+    with open(f"/proc/{pid}/status") as handle:
+        for line in handle:
+            if line.startswith("SigCgt:"):
+                return bool(int(line.split()[1], 16) >> (signal.SIGTERM - 1) & 1)
+    return False
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestFleetGatewaySigterm:
+    def test_sigterm_drains_and_leaves_no_frontend(self):
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--fleet", "--listen", "0",
+                "--frontends", "2", "--capacity", "1", "--servers", "2",
+                "--nb", "16", "--clients", "2", "--group", "p64-sim",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )  # fmt: skip
+        members = []
+        try:
+            deadline = time.monotonic() + 60.0
+            line = ""
+            while not line.startswith("fleet gateway:"):
+                remaining = deadline - time.monotonic()
+                assert remaining > 0, "gateway never came up"
+                ready, _, _ = select.select([proc.stdout], [], [], remaining)
+                line = proc.stdout.readline() if ready else ""
+                assert line or proc.poll() is None, proc.stderr.read()
+            members = _descendants(proc.pid)
+            assert members, "the fleet has no front-end processes"
+            # The server drains on SIGTERM; its forked front-ends must not
+            # inherit that handler, or terminate() could no longer kill them.
+            assert _catches_sigterm(proc.pid)
+            assert not any(_catches_sigterm(pid) for pid in members)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60.0) == 0
+            deadline = time.monotonic() + 5.0
+            while any(_alive(pid) for pid in members) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in members if _alive(pid)] == []
+            assert "gateway summary:" in proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            for pid in members:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()

@@ -28,8 +28,9 @@ class TestPublicApi:
         "module",
         [
             "repro.api", "repro.core", "repro.crypto", "repro.crypto.sigma",
-            "repro.dp", "repro.mpc", "repro.sharing", "repro.baselines",
-            "repro.attacks", "repro.analysis", "repro.bench", "repro.utils",
+            "repro.dp", "repro.mpc", "repro.net", "repro.sharing",
+            "repro.baselines", "repro.attacks", "repro.analysis", "repro.bench",
+            "repro.utils",
         ],
     )
     def test_subpackage_exports_resolve(self, module):
