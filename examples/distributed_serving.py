@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Distributed serving: the same session in-process, on threads, and as
-separate OS processes — with byte-identical releases.
+"""Distributed serving: the same session in-process, on threads, as
+separate OS processes over pipes and over TCP — with byte-identical
+releases.
 
 The `repro.net` node layer splits ΠBin into its real deployment roles: a
 client population submitting wire-encoded enrollments, K prover servers,
@@ -18,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import CountQuery, Session  # noqa: E402
 from repro.crypto.serialization import decode_message, encode_message  # noqa: E402
-from repro.net import run_distributed_session  # noqa: E402
+from repro.net import run_sessions, session_seed  # noqa: E402
 from repro.utils.rng import SeededRNG  # noqa: E402
 
 SEED = "distributed-example"
@@ -26,13 +27,14 @@ VALUES = [1, 0, 1, 1, 0, 1, 0, 1]  # five opted in
 
 
 def main() -> None:
-    # The reference: an ordinary in-process session.
+    # The reference: an ordinary in-process session.  A served run seeded
+    # SEED runs its session s under session_seed(SEED, s).
     session = Session(
         CountQuery(epsilon=1.0, delta=2**-10),
         num_provers=2,
         group="p64-sim",
         nb_override=32,
-        rng=SeededRNG(SEED),
+        rng=SeededRNG(session_seed(SEED, 0)),
     )
     session.submit(VALUES)
     reference = session.release().release
@@ -40,9 +42,9 @@ def main() -> None:
     print(f"in-process release:   estimate={reference.estimate[0]:+.1f}, "
           f"{len(reference_bytes)} wire bytes")
 
-    # The same session as communicating nodes, two substrates.
-    for transport in ("memory", "multiprocess"):
-        outcome = run_distributed_session(
+    # The same session as communicating nodes, three substrates.
+    for transport in ("memory", "multiprocess", "socket"):
+        outcome = run_sessions(
             CountQuery(epsilon=1.0, delta=2**-10),
             VALUES,
             transport=transport,
@@ -52,9 +54,9 @@ def main() -> None:
             seed=SEED,
             verify_equivalence=False,
         )
-        distributed_bytes = encode_message(outcome["release"])
-        match = distributed_bytes == reference_bytes
-        print(f"{transport:12s} release: estimate={outcome['estimate'][0]:+.1f}, "
+        row = outcome["session_rows"][0]
+        match = row["release_frame"] == reference_bytes
+        print(f"{transport:12s} release: estimate={row['estimate'][0]:+.1f}, "
               f"front-end traffic {outcome['frontend_bytes_received']}B in / "
               f"{outcome['frontend_bytes_sent']}B out, byte-identical={match}")
         assert match, f"{transport} release diverged from the in-process path"

@@ -45,11 +45,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.api.queries import CountQuery, HistogramQuery, Query
-from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ReproError
-from repro.net.fleet import run_fleet, session_seed, session_values
-from repro.net.serve import run_async_sessions, run_distributed_session
+from repro.net.peers import session_seed, session_values
+from repro.net.serve import run_sessions, solo_release
 from repro.bench.runner import write_bench_json
 
 __all__ = [
@@ -266,127 +265,73 @@ def _seed_root(fixed: dict, cell: dict) -> str:
 
 
 def _run_in_process(cell: dict, fixed: dict) -> dict:
-    from repro.utils.rng import SeededRNG
-
     query, values = _build_query(fixed)
     seed = _seed_root(fixed, cell)
+    knobs = {
+        "num_servers": fixed["num_servers"],
+        "group": cell["group"],
+        "nb_override": cell["nb"],
+        "chunk_size": fixed["chunk"],
+    }
     frames: list[bytes] = []
     accepted = True
     start = time.perf_counter()
     for s in range(cell["sessions"]):
-        session = Session(
-            query,
-            num_provers=fixed["num_servers"],
-            group=cell["group"],
-            nb_override=cell["nb"],
-            chunk_size=fixed["chunk"],
-            rng=SeededRNG(session_seed(seed, s)),
+        release = solo_release(
+            query, session_values(values, s), session_seed(seed, s), **knobs
         )
-        session.submit(session_values(values, s))
-        result = session.release()
-        accepted = accepted and result.release.accepted
-        frames.append(encode_message(result.release))
+        accepted = accepted and release.accepted
+        frames.append(encode_message(release))
     wall = time.perf_counter() - start
     # The reference topology has nothing distributed to compare against,
     # so byte-identity here is the determinism half of the invariant: an
     # identically seeded replay must reproduce the release exactly.
-    replay = Session(
-        query,
-        num_provers=fixed["num_servers"],
-        group=cell["group"],
-        nb_override=cell["nb"],
-        chunk_size=fixed["chunk"],
-        rng=SeededRNG(session_seed(seed, 0)),
+    replay = solo_release(
+        query, session_values(values, 0), session_seed(seed, 0), **knobs
     )
-    replay.submit(session_values(values, 0))
-    byte_identical = encode_message(replay.release().release) == frames[0]
     return {
         "wall_s": wall,
         "sessions_per_sec": cell["sessions"] / wall if wall else float("inf"),
         "released": cell["sessions"],
         "accepted": accepted,
-        "byte_identical": byte_identical,
+        "byte_identical": encode_message(replay) == frames[0],
     }
 
 
-def _run_distributed(cell: dict, fixed: dict, transport: str) -> dict:
-    query, values = _build_query(fixed)
-    outcome = run_distributed_session(
-        query,
-        values,
-        transport=transport,
-        num_servers=fixed["num_servers"],
-        shards=cell["shards"],
-        group=cell["group"],
-        nb_override=cell["nb"],
-        chunk_size=fixed["chunk"],
-        seed=session_seed(_seed_root(fixed, cell), 0),
-        host=fixed["host"],
-        timeout=fixed["timeout"],
-    )
-    return {
-        "wall_s": outcome["elapsed_s"],
-        "sessions_per_sec": 1.0 / outcome["elapsed_s"]
-        if outcome["elapsed_s"]
-        else float("inf"),
-        "released": 1,
-        "accepted": outcome["accepted"],
-        "byte_identical": outcome["byte_identical"],
-        "chunk": outcome["chunk_size"],
-        "frontend_bytes_sent": outcome["frontend_bytes_sent"],
-        "frontend_bytes_received": outcome["frontend_bytes_received"],
-    }
+# Every served topology is one run_sessions shape; the canonical cell
+# already carries its sessions, shards and front-ends.
+_TRANSPORT = {
+    "multiprocess": "multiprocess",
+    "sharded": "multiprocess",
+    "socket": "socket",
+    "async": "socket",
+    "fleet": "socket",
+}
 
 
-def _run_async(cell: dict, fixed: dict) -> dict:
+def _run_served(cell: dict, fixed: dict) -> dict:
     query, values = _build_query(fixed)
-    outcome = run_async_sessions(
+    outcome = run_sessions(
         query,
         values,
+        transport=_TRANSPORT[cell["topology"]],
         sessions=cell["sessions"],
-        num_servers=fixed["num_servers"],
         shards=cell["shards"],
+        frontends=cell["frontends"],
+        capacity=fixed["capacity"],
+        num_servers=fixed["num_servers"],
         group=cell["group"],
         nb_override=cell["nb"],
         chunk_size=fixed["chunk"],
-        seed=_seed_root(fixed, cell),
         host=fixed["host"],
         timeout=fixed["timeout"],
         reply_delay=cell["reply_delay"],
+        seed=_seed_root(fixed, cell),
     )
     return {
         "wall_s": outcome["elapsed_s"],
         "sessions_per_sec": outcome["sessions_per_sec"],
         "p50_session_s": outcome["p50_session_s"],
-        "released": len(outcome["session_rows"]),
-        "accepted": outcome["accepted"],
-        "byte_identical": outcome["byte_identical"],
-        "frontend_bytes_sent": outcome["frontend_bytes_sent"],
-        "frontend_bytes_received": outcome["frontend_bytes_received"],
-    }
-
-
-def _run_fleet_cell(cell: dict, fixed: dict) -> dict:
-    query, values = _build_query(fixed)
-    outcome = run_fleet(
-        query,
-        values,
-        sessions=cell["sessions"],
-        frontends=cell["frontends"],
-        capacity=fixed["capacity"],
-        shards=cell["shards"],
-        num_servers=fixed["num_servers"],
-        group=cell["group"],
-        nb_override=cell["nb"],
-        chunk_size=fixed["chunk"],
-        seed=_seed_root(fixed, cell),
-        host=fixed["host"],
-        timeout=fixed["timeout"],
-        reply_delay=cell["reply_delay"],
-    )
-    return {
-        "wall_s": outcome["elapsed_s"],
-        "sessions_per_sec": outcome["sessions_per_sec"],
         "released": outcome["released"],
         "aborted": outcome["aborted"],
         "crashed": outcome["crashed"],
@@ -395,17 +340,10 @@ def _run_fleet_cell(cell: dict, fixed: dict) -> dict:
         "frontends_used": len(outcome["frontends_used"]),
         "accepted": outcome["accepted"],
         "byte_identical": outcome["byte_identical"],
+        "chunk": outcome["chunk_size"],
+        "frontend_bytes_sent": outcome["frontend_bytes_sent"],
+        "frontend_bytes_received": outcome["frontend_bytes_received"],
     }
-
-
-_RUNNERS = {
-    "in-process": lambda cell, fixed: _run_in_process(cell, fixed),
-    "multiprocess": lambda cell, fixed: _run_distributed(cell, fixed, "multiprocess"),
-    "socket": lambda cell, fixed: _run_distributed(cell, fixed, "socket"),
-    "sharded": lambda cell, fixed: _run_distributed(cell, fixed, "multiprocess"),
-    "async": lambda cell, fixed: _run_async(cell, fixed),
-    "fleet": lambda cell, fixed: _run_fleet_cell(cell, fixed),
-}
 
 
 def run_cell(
@@ -422,7 +360,10 @@ def run_cell(
     unknown = sorted(set(fixed) - set(FIXED))
     if unknown:
         raise ParameterError(f"unknown fixed keys: {unknown}")
-    measured = _RUNNERS[cell["topology"]](cell, fixed)
+    if cell["topology"] == "in-process":
+        measured = _run_in_process(cell, fixed)
+    else:
+        measured = _run_served(cell, fixed)
     row = {
         "cell": cell_id(cell),
         **{name: cell[name] for name in FACTORS},

@@ -4,10 +4,11 @@
 experiment in sequence.  Workload sizes default to scaled-down values —
 set ``REPRO_PAPER_SCALE=1`` for paper-scale runs (slow in pure Python).
 
-``python -m repro serve`` runs a session as separate OS processes — an
-analyst front-end, K prover servers and a client population — over the
-``multiprocessing``-pipe or TCP transport (see :mod:`repro.net`), and
-checks the release is byte-identical to the in-process path when seeded.
+``python -m repro serve`` runs sessions as separate nodes — a front-end,
+K prover servers and a client population per session — over the
+in-memory, ``multiprocessing``-pipe or TCP transport, optionally through
+a fleet of front-ends (see :mod:`repro.net`), and checks every release is
+byte-identical to the in-process path when seeded.
 """
 
 from __future__ import annotations
@@ -35,21 +36,15 @@ _DESCRIPTIONS = {
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
-        description="Run one verifiable-DP session as separate OS processes",
+        description="Run verifiable-DP sessions as separate nodes",
     )
     parser.add_argument(
         "--transport",
         choices=("memory", "multiprocess", "socket"),
-        default="multiprocess",
-        help="node substrate: threads over the in-memory bus, pipes, or TCP",
-    )
-    parser.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve over asyncio sockets: one SessionMux front-end process "
-        "multiplexes --sessions concurrent sessions (implies --transport "
-        "socket; each session is byte-identical to its solo seeded run)",
+        default="socket",
+        help="node substrate: threads over the in-memory bus or pipes (one "
+        "session each), or TCP, where one SessionMux front-end multiplexes "
+        "--sessions concurrent sessions (the only --fleet transport)",
     )
     parser.add_argument(
         "--fleet",
@@ -79,8 +74,9 @@ def _serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--sessions",
         type=int,
-        default=2,
-        help="total session count N for --async / --fleet serving",
+        default=1,
+        help="total session count N (socket transport or --fleet); session "
+        "s is byte-identical to its solo run under seed '{seed}/s{s}'",
     )
     parser.add_argument("--servers", type=int, default=2, help="prover count K")
     parser.add_argument(
@@ -111,7 +107,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="serve Prometheus-text /metrics on this port (0 = ephemeral; "
-        "with --async or --fleet: session counters, queue gauges, "
+        "fed over the socket transport: session counters, queue gauges, "
         "per-phase engine histograms)",
     )
     parser.add_argument(

@@ -1,6 +1,6 @@
 """REP005 — resource release on the exception path.
 
-The exact bug class PR 5 fixed by hand in ``serve._start_socket``: a
+The exact bug class PR 5 fixed by hand in the socket serving launcher: a
 function starts child processes or opens a transport/listener, an
 exception fires before the happy-path cleanup, and the children/sockets
 outlive the session (CI hangs on join, ports stay bound).  Dynamic

@@ -24,16 +24,19 @@ This package closes that gap without touching the protocol engine:
   over asyncio streams (wire compatible with the blocking transport) and
   a :class:`SessionMux` front-end that multiplexes N concurrent sessions
   in one process, each driving the unchanged engine (``python -m repro
-  serve --async --sessions N``).
+  serve --transport socket --sessions N``).
 * :mod:`repro.net.fleet` — the serving fleet: a
   :class:`FleetDispatcher` admits a stream of session requests and
   places them across a pool of :class:`SessionMux` front-end processes
-  (each optionally backed by shard workers — the ``--async --shards``
-  composition), with health checks, work-stealing, graceful drain and
-  crash restart (``python -m repro serve --fleet``).
-* :mod:`repro.net.serve` — the ``python -m repro serve`` demo driver: a
-  full session as separate OS processes, byte-identical to the
-  in-process path under seeded RNG.
+  (each session optionally backed by shard workers), with health
+  checks, work-stealing, graceful drain and crash restart (``python -m
+  repro serve --fleet``).
+* :mod:`repro.net.peers` — the peer side every topology shares: the
+  per-session seed convention, the RNG helpers and :func:`run_peer`.
+* :mod:`repro.net.serve` — :func:`run_sessions`, the one launcher for
+  every topology (``python -m repro serve``): N sessions as separate
+  nodes, each byte-identical to its solo in-process run under seeded
+  RNG.
 """
 
 from repro.net.aio import (
@@ -49,10 +52,10 @@ from repro.net.fleet import (
     FleetDispatcher,
     SessionOutcome,
     SessionRequest,
-    run_fleet,
 )
 from repro.net.nodes import AnalystNode, ClientRunner, RemoteProver, ServerNode
-from repro.net.serve import run_async_sessions, run_distributed_session
+from repro.net.peers import run_peer, session_seed, session_values
+from repro.net.serve import run_sessions
 from repro.net.shard import ShardWorker, ShardedAnalyst
 from repro.net.transport import (
     InMemoryHub,
@@ -76,8 +79,10 @@ __all__ = [
     "RemoteProver",
     "ShardedAnalyst",
     "ShardWorker",
-    "run_distributed_session",
-    "run_async_sessions",
+    "run_sessions",
+    "run_peer",
+    "session_seed",
+    "session_values",
     "AsyncSocketTransport",
     "SessionChannel",
     "SessionMux",
@@ -88,5 +93,4 @@ __all__ = [
     "FleetDispatcher",
     "SessionRequest",
     "SessionOutcome",
-    "run_fleet",
 ]

@@ -52,7 +52,8 @@ from dataclasses import dataclass
 
 from repro.api.engine import EngineResult
 from repro.api.queries import Query
-from repro.errors import ParameterError, ProtocolAbort
+from repro.errors import ParameterError, ProtocolAbort, ReproError
+from repro.net import wire
 from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
 from repro.net.transport import (
     _HANDSHAKE_MAX_BYTES,
@@ -77,6 +78,7 @@ __all__ = [
     "SessionSpec",
     "AsyncServerNode",
     "AsyncClientRunner",
+    "abort_session_peers",
 ]
 
 # Queue sentinel: the connection feeding this queue failed; the reason
@@ -619,9 +621,10 @@ class SessionSpec:
     releases.  A non-empty ``shards`` names :class:`ShardWorker` peers
     (scoped to this session on the shared transport) and the session is
     driven by a :class:`~repro.net.shard.ShardedAnalyst` instead of a
-    plain :class:`~repro.net.nodes.AnalystNode` — the ``--async
-    --shards`` composition: one front-end multiplexes N sessions, each
-    fanning its verification across S shard workers.
+    plain :class:`~repro.net.nodes.AnalystNode` — the ``--transport
+    socket --sessions N --shards S`` composition: one front-end
+    multiplexes N sessions, each fanning its verification across S shard
+    workers.
     """
 
     query: Query
@@ -650,8 +653,9 @@ class SessionMux:
     Two serving modes share the machinery:
 
     * **static** — construct with the full ``specs`` list and ``await
-      run()``, as the ``--async`` topology does: every session starts at
-      once and the executor is torn down when the batch completes;
+      run()``, as ``repro serve --transport socket`` does: every session
+      starts at once and the executor is torn down when the batch
+      completes;
     * **dynamic** — construct with ``specs=None`` and call
       :meth:`serve_session` per placement, as the fleet worker does:
       sessions arrive as a stream, up to ``max_concurrency`` run at a
@@ -799,6 +803,19 @@ class SessionMux:
         if self._executor is not None:
             self._executor.shutdown(wait=False)
             self._executor = None
+
+
+async def abort_session_peers(
+    transport: AsyncSocketTransport, session: int, peers, reason: str
+) -> None:
+    """Session-scoped :func:`~repro.net.nodes.abort_peers`: tell every
+    peer of a dead session to stop waiting, best-effort."""
+    frame = wire.encode_control("abort", reason.encode())
+    for name in peers:
+        try:
+            await transport.send(name, frame, session=session)
+        except (ReproError, OSError):
+            pass
 
 
 class AsyncServerNode:

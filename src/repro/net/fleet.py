@@ -20,21 +20,20 @@ them into a *fleet*:
   hot front-end into an idle one, re-attributes a crashed worker's
   in-flight sessions as *crashed* outcomes (never hangs), and respawns
   the worker up to ``max_restarts`` times.
-* :func:`run_fleet` — the ``repro serve --fleet`` driver: submit a
-  stream of session requests, wait, drain (stop admitting, finish
-  in-flight, terminate), and verify the cross-cutting invariant —
-  every fleet-served release is byte-identical to a seeded in-process
-  :class:`repro.api.Session` run with the same seed and chunking.
+
+:func:`repro.net.serve.run_sessions` with ``frontends >= 1`` drives a
+fleet: it submits a batch of session requests, waits, drains (stop
+admitting, finish in-flight, terminate), and checks every release
+against its solo seeded :class:`repro.api.Session`.
 
 Inside each worker a placed session gets its own *scoped* peer threads
-— K :class:`~repro.net.nodes.ServerNode`, S
-:class:`~repro.net.shard.ShardWorker` (the long-promised ``--async
---shards`` composition) and one :class:`~repro.net.nodes.ClientRunner`
-— dialing back over blocking ``SocketTransport.connect(...,
-session=s)`` channels, which the mux's async listener demultiplexes by
-handshake scope.  In a real deployment those peers are remote
-processes; session-scoped threads keep the fleet demo single-machine
-while exercising exactly the wire paths remote peers would.
+— K servers, S shard workers and one client population, each started
+by :func:`repro.net.peers.run_peer` — dialing back over blocking
+``SocketTransport.connect(..., session=s)`` channels, which the mux's
+async listener demultiplexes by handshake scope.  In a real deployment
+those peers are remote processes; session-scoped threads keep the fleet
+demo single-machine while exercising exactly the wire paths remote
+peers would.
 
 Failure semantics reuse PR 5's attribution machinery: a session that
 dies mid-phase has its peers told to stop via the one-way ``abort``
@@ -46,6 +45,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import json
 import signal
 import threading
@@ -56,49 +56,25 @@ from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
 
 from repro.api.queries import Query
-from repro.api.session import Session
 from repro.crypto.serialization import encode_message
-from repro.errors import ParameterError, ProtocolAbort, ReproError
-from repro.net import wire
-from repro.net.aio import AsyncSocketTransport, SessionMux, SessionSpec
+from repro.errors import ParameterError, ProtocolAbort
+from repro.net.aio import (
+    AsyncSocketTransport,
+    SessionMux,
+    SessionSpec,
+    abort_session_peers,
+)
 from repro.net.metrics import ServingMetrics
-from repro.net.nodes import ClientRunner, ServerNode
-from repro.net.shard import ShardWorker
+from repro.net.peers import root_rng, run_peer
+from repro.net.shard import sharded_chunk_size
 from repro.net.transport import SocketTransport
-from repro.utils.rng import RNG, SeededRNG, SystemRNG
 
 __all__ = [
     "FleetConfig",
     "FleetDispatcher",
     "SessionRequest",
     "SessionOutcome",
-    "run_fleet",
-    "session_seed",
-    "session_values",
 ]
-
-
-def session_seed(seed: str | None, session: int) -> str | None:
-    """Root seed for one session of a multi-session run: ``{seed}/s{s}``,
-    so session *s* is reproducible solo via
-    ``Session(query, rng=SeededRNG(session_seed(seed, s)))``."""
-    return None if seed is None else f"{seed}/s{session}"
-
-
-def session_values(values: list, session: int) -> list:
-    """Distinct-but-derived per-session populations for demos/benchmarks:
-    session *s* sees the shared values rotated by *s*."""
-    shift = session % len(values) if values else 0
-    return values[shift:] + values[:shift]
-
-
-def _request_rng(seed: str | None) -> RNG:
-    return SeededRNG(seed) if seed is not None else SystemRNG()
-
-
-def _peer_rng(seed: str | None, name: str) -> RNG:
-    # Matches the in-process engine: prover k draws from root.fork(name).
-    return SeededRNG(seed).fork(name) if seed is not None else SystemRNG()
 
 
 @dataclass
@@ -107,9 +83,9 @@ class FleetConfig:
 
     ``frontends`` front-end worker processes, each multiplexing up to
     ``capacity`` concurrent sessions; ``shards > 0`` backs every session
-    with that many :class:`ShardWorker` peers (the ``--async --shards``
-    composition).  The remaining knobs are the familiar serving
-    parameters, applied uniformly across the pool.
+    with that many :class:`~repro.net.shard.ShardWorker` peers.  The
+    remaining knobs are the familiar serving parameters, applied
+    uniformly across the pool.
     """
 
     frontends: int = 2
@@ -198,55 +174,6 @@ class SessionOutcome:
 
 
 # Front-end worker process -----------------------------------------------------
-
-
-def _server_peer_main(name, host, port, sid, seed, timeout, reply_delay):
-    try:
-        transport = SocketTransport.connect(
-            name, "analyst", host, port, session=sid, timeout=timeout
-        )
-    except OSError:
-        return
-    try:
-        ServerNode(
-            transport, _peer_rng(seed, name), timeout=timeout, reply_delay=reply_delay
-        ).run()
-    except (ReproError, SystemExit):
-        pass
-    finally:
-        transport.close()
-
-
-def _shard_peer_main(name, host, port, sid, timeout):
-    try:
-        transport = SocketTransport.connect(
-            name, "analyst", host, port, session=sid, timeout=timeout
-        )
-    except OSError:
-        return
-    try:
-        ShardWorker(transport, timeout=timeout).run()
-    except (ReproError, SystemExit):
-        pass
-    finally:
-        transport.close()
-
-
-def _clients_peer_main(host, port, sid, query, values, seed, timeout):
-    try:
-        transport = SocketTransport.connect(
-            "clients", "analyst", host, port, session=sid, timeout=timeout
-        )
-    except OSError:
-        return
-    try:
-        ClientRunner(
-            transport, query, values, rng=_request_rng(seed), timeout=timeout
-        ).run()
-    except (ReproError, SystemExit):
-        pass
-    finally:
-        transport.close()
 
 
 def _frontend_main(name: str, conn, config: FleetConfig) -> None:
@@ -431,18 +358,17 @@ class _FrontEnd:
                     self.transport.default_expected = []
             chunk = self.config.chunk_size
             if self.shard_names and chunk is None:
-                # Pin the sharded default explicitly (at least two
-                # chunks per shard) so the outcome can name the chunk
-                # size the solo-replay equivalence check must use.
+                # Pin the sharded default explicitly so the outcome can
+                # name the chunk size the solo replay must use.
                 params = request.query.build_params(
                     num_provers=len(self.server_names),
                     group=self.config.group,
                     nb_override=self.config.nb_override,
                 )
-                chunk = max(1, -(-params.nb // (2 * len(self.shard_names))))
+                chunk = sharded_chunk_size(params.nb, len(self.shard_names))
             spec = SessionSpec(
                 request.query,
-                rng=_request_rng(request.seed),
+                rng=root_rng(request.seed),
                 group=self.config.group,
                 nb_override=self.config.nb_override,
                 chunk_size=chunk,
@@ -501,60 +427,56 @@ class _FrontEnd:
 
     def _start_peers(self, request: SessionRequest, sid: int) -> list:
         host, port = self.config.host, self.transport.port
-        delay = (
-            request.reply_delay
-            if request.reply_delay is not None
-            else self.config.reply_delay
-        )
         timeout = self.config.timeout
-        threads = []
-        for name in self.server_names:
-            threads.append(
-                threading.Thread(
-                    target=_server_peer_main,
-                    args=(name, host, port, sid, request.seed, timeout, delay),
-                    name=f"{self.name}-{name}-s{sid}",
-                    daemon=True,
-                )
-            )
-        for name in self.shard_names:
-            threads.append(
-                threading.Thread(
-                    target=_shard_peer_main,
-                    args=(name, host, port, sid, timeout),
-                    name=f"{self.name}-{name}-s{sid}",
-                    daemon=True,
-                )
-            )
-        threads.append(
+        peer_kwargs = {
+            "query": request.query,
+            "values": list(request.values),
+            "seed": request.seed,
+            "timeout": timeout,
+            "reply_delay": (
+                request.reply_delay
+                if request.reply_delay is not None
+                else self.config.reply_delay
+            ),
+        }
+        roles = [
+            *(("server", name) for name in self.server_names),
+            *(("shard", name) for name in self.shard_names),
+            ("clients", "clients"),
+        ]
+        threads = [
             threading.Thread(
-                target=_clients_peer_main,
+                target=run_peer,
                 args=(
-                    host,
-                    port,
-                    sid,
-                    request.query,
-                    list(request.values),
-                    request.seed,
-                    timeout,
+                    role,
+                    name,
+                    functools.partial(
+                        SocketTransport.connect,
+                        name,
+                        "analyst",
+                        host,
+                        port,
+                        session=sid,
+                        timeout=timeout,
+                    ),
                 ),
-                name=f"{self.name}-clients-s{sid}",
+                kwargs=peer_kwargs,
+                name=f"{self.name}-{name}-s{sid}",
                 daemon=True,
             )
-        )
+            for role, name in roles
+        ]
         for thread in threads:
             thread.start()
         return threads
 
     async def _abort_session_peers(self, sid: int, reason: str) -> None:
-        """Session-scoped :func:`~repro.net.nodes.abort_peers`: tell every
-        peer of the dead session to stop waiting, best-effort."""
-        frame = wire.encode_control("abort", reason.encode())
-        for name in [*self.server_names, *self.shard_names, "clients"]:
-            try:
-                await self.transport.send(name, frame, session=sid)
-            except (ReproError, OSError):
-                pass
+        await abort_session_peers(
+            self.transport,
+            sid,
+            [*self.server_names, *self.shard_names, "clients"],
+            reason,
+        )
 
     def _join_peers(self, threads: list) -> None:
         for thread in threads:
@@ -972,154 +894,3 @@ class FleetDispatcher:
                 worker.send(
                     {"cmd": "steal", "count": min(worker.stats["pending"], best_free)}
                 )
-
-
-# Driver -----------------------------------------------------------------------
-
-
-def run_fleet(
-    query: Query,
-    values,
-    *,
-    sessions: int = 4,
-    config: FleetConfig | None = None,
-    frontends: int = 2,
-    capacity: int = 2,
-    shards: int = 0,
-    num_servers: int = 2,
-    group: str = "p64-sim",
-    nb_override: int | None = 64,
-    chunk_size: int | None = None,
-    seed: str | None = "fleet",
-    host: str = "127.0.0.1",
-    timeout: float = 120.0,
-    reply_delay: float = 0.0,
-    verify_equivalence: bool | None = None,
-    metrics: ServingMetrics | None = None,
-) -> dict:
-    """Serve ``sessions`` sessions through a fleet; returns a metrics dict.
-
-    Session *s* runs under seed ``{seed}/s{s}`` with the shared values
-    rotated by *s* — exactly the ``--async`` driver's convention — and
-    ``verify_equivalence`` (default: on whenever seeded) replays every
-    released session through a solo in-process :class:`Session` at the
-    outcome's effective chunk size and compares the wire-encoded
-    releases byte for byte.
-    """
-    if sessions < 1:
-        raise ParameterError("sessions must be >= 1")
-    if config is None:
-        config = FleetConfig(
-            frontends=frontends,
-            capacity=capacity,
-            shards=shards,
-            num_servers=num_servers,
-            group=group,
-            nb_override=nb_override,
-            chunk_size=chunk_size,
-            host=host,
-            timeout=timeout,
-            reply_delay=reply_delay,
-        )
-    values = list(values)
-    if verify_equivalence is None:
-        verify_equivalence = seed is not None
-    requests = [
-        SessionRequest(
-            s, query, session_values(values, s), seed=session_seed(seed, s)
-        )
-        for s in range(sessions)
-    ]
-
-    dispatcher = FleetDispatcher(config, metrics=metrics)
-    start = time.perf_counter()
-    try:
-        dispatcher.start()
-        for request in requests:
-            dispatcher.submit(request)
-        finished = dispatcher.wait(timeout=config.timeout + 30.0)
-        elapsed = time.perf_counter() - start
-        drained = dispatcher.drain(timeout=config.timeout)
-    finally:
-        dispatcher.stop()
-
-    session_rows = []
-    for request in requests:
-        outcome = dispatcher.outcomes.get(request.request_id)
-        if outcome is None:
-            session_rows.append(
-                {
-                    "session": request.request_id,
-                    "status": "lost",
-                    "frontend": None,
-                    "reason": "no outcome before the wait deadline",
-                }
-            )
-            continue
-        row = {
-            "session": request.request_id,
-            "status": outcome.status,
-            "frontend": outcome.frontend,
-        }
-        if outcome.status == "released":
-            row.update(
-                accepted=outcome.accepted,
-                estimate=outcome.estimate,
-                elapsed_s=outcome.elapsed_s,
-                release_bytes=len(outcome.release_frame),
-            )
-            if verify_equivalence and request.seed is not None:
-                solo = Session(
-                    request.query,
-                    num_provers=config.num_servers,
-                    group=config.group,
-                    nb_override=config.nb_override,
-                    chunk_size=outcome.chunk_size,
-                    rng=SeededRNG(request.seed),
-                )
-                solo.submit(request.values)
-                row["byte_identical"] = (
-                    encode_message(solo.release().release) == outcome.release_frame
-                )
-        else:
-            row.update(party=outcome.party, reason=outcome.reason)
-        session_rows.append(row)
-
-    released_rows = [r for r in session_rows if r["status"] == "released"]
-    params = query.build_params(
-        num_provers=config.num_servers, group=config.group,
-        nb_override=config.nb_override,
-    )
-    outcome_dict = {
-        "transport": "fleet",
-        "frontends": config.frontends,
-        "capacity": config.capacity,
-        "shards": config.shards,
-        "sessions": sessions,
-        "num_servers": config.num_servers,
-        "n_clients": len(values),
-        "nb": params.nb,
-        "group": config.group,
-        "chunk_size": config.chunk_size,
-        "reply_delay_s": config.reply_delay,
-        "elapsed_s": elapsed,
-        "sessions_per_sec": len(released_rows) / elapsed if elapsed else float("inf"),
-        "released": len(released_rows),
-        "aborted": sum(1 for r in session_rows if r["status"] == "aborted"),
-        "crashed": sum(1 for r in session_rows if r["status"] == "crashed"),
-        "finished": finished,
-        "drained": drained,
-        "restarts": dict(dispatcher.restarts),
-        "stolen": dispatcher.stolen,
-        "frontends_used": sorted(
-            {r["frontend"] for r in session_rows if r["frontend"] is not None}
-        ),
-        "accepted": bool(released_rows)
-        and all(r["accepted"] for r in released_rows),
-        "session_rows": session_rows,
-    }
-    if verify_equivalence:
-        outcome_dict["byte_identical"] = bool(released_rows) and all(
-            r.get("byte_identical", False) for r in released_rows
-        )
-    return outcome_dict

@@ -1,23 +1,32 @@
-"""The multi-process serving demo behind ``python -m repro serve``.
+"""One launcher for every serving topology, behind ``python -m repro serve``.
 
-Runs one full verifiable-DP session as real communicating nodes — the
-analyst front-end in the calling process/thread, one
-:class:`~repro.net.nodes.ServerNode` per prover and one
-:class:`~repro.net.nodes.ClientRunner` for the population — over any of
-the three transports:
+:func:`run_sessions` serves N sessions of one query as communicating
+nodes — K prover servers, optional S verification shards per session and
+one client population per session — and picks the topology from the
+shape it is given:
 
-* ``memory``      — node threads over :class:`InMemoryTransport`,
-* ``multiprocess``— separate OS processes over ``multiprocessing`` pipes,
-* ``socket``      — separate OS processes over localhost TCP.
+* ``frontends >= 1`` — a :class:`~repro.net.fleet.FleetDispatcher`
+  places the sessions across F front-end worker processes (TCP only);
+* ``transport="socket"`` — the calling process is one
+  :class:`~repro.net.aio.SessionMux` front-end multiplexing the N
+  sessions over TCP, with the prover hosts and the client host as
+  separate OS processes (one session is simply a one-session mux);
+* ``transport="memory"`` / ``"multiprocess"`` — one session, the
+  calling thread its :class:`~repro.net.nodes.AnalystNode` (or
+  :class:`~repro.net.shard.ShardedAnalyst`), its peers threads over the
+  in-memory bus or forked children over ``multiprocessing`` pipes.
 
-With a seed, the distributed release is compared byte-for-byte against
-the in-process :class:`repro.api.Session` release — the equivalence the
-redesign promises (same engine, same RNG streams, different substrate).
+Every mode follows one seed convention — session *s* runs under
+``session_seed(seed, s)`` on ``session_values(values, s)`` — and returns
+one outcome shape: a summary plus ``session_rows``.  With a seed, each
+released session is compared byte for byte against :func:`solo_release`,
+the same session through a solo in-process :class:`repro.api.Session`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
 import socket
 import statistics
@@ -25,9 +34,11 @@ import sys
 import threading
 import time
 from multiprocessing import get_context
+from multiprocessing.process import BaseProcess
 
 from repro.api.queries import CountQuery, HistogramQuery, Query
 from repro.api.session import Session
+from repro.core.messages import Release
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError, ProtocolAbort
 from repro.net.aio import (
@@ -36,29 +47,30 @@ from repro.net.aio import (
     AsyncSocketTransport,
     SessionMux,
     SessionSpec,
+    abort_session_peers,
 )
-from repro.net.fleet import (
-    FleetConfig,
-    FleetDispatcher,
-    run_fleet,
+from repro.net.fleet import FleetConfig, FleetDispatcher, SessionRequest
+from repro.net.gateway import FleetGateway
+from repro.net.metrics import MetricsServer, ServingMetrics
+from repro.net.nodes import AnalystNode, abort_peers
+from repro.net.peers import (
+    peer_rng,
+    root_rng,
+    run_peer,
     session_seed,
     session_values,
 )
-from repro.net.gateway import FleetGateway
-from repro.net.metrics import MetricsServer, ServingMetrics
-from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
-from repro.net.shard import ShardWorker, ShardedAnalyst
+from repro.net.shard import ShardedAnalyst, sharded_chunk_size
 from repro.net.transport import (
     SESSION_ANY,
     InMemoryHub,
     SocketTransport,
     multiprocess_star,
 )
-from repro.utils.rng import RNG, SeededRNG, SystemRNG
 
 __all__ = [
-    "run_distributed_session",
-    "run_async_sessions",
+    "run_sessions",
+    "solo_release",
     "main",
     "EXIT_PROTOCOL_ABORT",
     "EXIT_INFRA_CRASH",
@@ -75,20 +87,214 @@ EXIT_PROTOCOL_ABORT = 3  # a party broke the protocol; stderr names it
 EXIT_INFRA_CRASH = 4  # sockets/processes/unexpected exceptions died
 
 
-def _root_rng(seed: str | None) -> RNG:
-    return SeededRNG(seed) if seed is not None else SystemRNG()
+def solo_release(
+    query: Query,
+    values,
+    seed: str | None,
+    *,
+    num_servers: int,
+    group: str,
+    nb_override: int | None,
+    chunk_size: int | None,
+) -> Release:
+    """The reference every served session is checked against: the same
+    query, population, seed and chunking through a solo in-process
+    :class:`Session`."""
+    session = Session(
+        query,
+        num_provers=num_servers,
+        group=group,
+        nb_override=nb_override,
+        chunk_size=chunk_size,
+        rng=root_rng(seed),
+    )
+    session.submit(values)
+    return session.release().release
 
 
-def _server_rng(seed: str | None, name: str) -> RNG:
-    # Matches the in-process engine: prover k draws from root.fork(name).
-    return SeededRNG(seed).fork(name) if seed is not None else SystemRNG()
+def run_sessions(
+    query: Query,
+    values,
+    *,
+    transport: str = "socket",
+    sessions: int = 1,
+    shards: int = 0,
+    frontends: int = 0,
+    capacity: int = 2,
+    num_servers: int = 2,
+    group: str = "p64-sim",
+    nb_override: int | None = 64,
+    chunk_size: int | None = None,
+    host: str = "127.0.0.1",
+    timeout: float = 120.0,
+    health_interval: float = 0.25,
+    max_restarts: int = 2,
+    reply_delay: float = 0.0,
+    seed: str | None = "serve",
+    port: int = 0,
+    verify_equivalence: bool | None = None,
+    metrics: ServingMetrics | None = None,
+) -> dict:
+    """Serve ``sessions`` sessions as separate nodes; returns the outcome.
+
+    ``frontends`` (0 = the calling process is the front-end),
+    ``capacity``, ``health_interval`` and ``max_restarts`` shape a fleet
+    (see :class:`FleetConfig`); ``port`` is the mux listener's.
+    ``shards > 0`` backs every session with that many shard workers,
+    with the effective chunk size pinned up front so the solo replay
+    uses the chunking the sharded front-end does.  ``reply_delay`` makes
+    every server sleep that long before each RPC reply — simulated
+    remote-prover latency (benchmark knob, zero by default).
+    ``metrics`` is fed by the mux and the fleet.
+
+    ``verify_equivalence`` (default: on whenever seeded) replays every
+    released session through :func:`solo_release` and compares the
+    wire-encoded releases byte for byte.
+
+    On the memory, multiprocess and mux paths a failed session raises
+    its :class:`ProtocolAbort` (after telling every peer to stop); a
+    fleet records it as an ``aborted`` or ``crashed`` session row.
+    """
+    if transport not in _TRANSPORTS:
+        raise ParameterError(f"transport must be one of {_TRANSPORTS}")
+    if sessions < 1:
+        raise ParameterError("sessions must be >= 1")
+    if shards < 0:
+        raise ParameterError("shards must be >= 0 (0 = unsharded sessions)")
+    if frontends < 0:
+        raise ParameterError("frontends must be >= 0 (0 = this process)")
+    if frontends and transport != "socket":
+        raise ParameterError("a fleet serves over the socket transport only")
+    if transport != "socket" and sessions != 1:
+        raise ParameterError(
+            f"the {transport} transport serves one session "
+            "(the socket transport multiplexes N)"
+        )
+    values = list(values)
+    if verify_equivalence is None:
+        verify_equivalence = seed is not None
+    nb = query.build_params(
+        num_provers=num_servers, group=group, nb_override=nb_override
+    ).nb
+    if shards and chunk_size is None:
+        chunk_size = sharded_chunk_size(nb, shards)
+    server_names = [f"prover-{k}" for k in range(num_servers)]
+    shard_names = [f"shard-{j}" for j in range(shards)]
+    knobs = {
+        "group": group,
+        "nb_override": nb_override,
+        "chunk_size": chunk_size,
+        "timeout": timeout,
+        "reply_delay": reply_delay,
+    }
+
+    if frontends:
+        config = FleetConfig(
+            frontends=frontends,
+            capacity=capacity,
+            shards=shards,
+            num_servers=num_servers,
+            host=host,
+            health_interval=health_interval,
+            max_restarts=max_restarts,
+            **knobs,
+        )
+        rows, summary = _serve_fleet(query, values, sessions, config, seed, metrics)
+    elif transport == "socket":
+        rows, summary = _serve_mux(
+            query,
+            values,
+            sessions,
+            server_names,
+            shard_names,
+            seed=seed,
+            host=host,
+            port=port,
+            metrics=metrics,
+            **knobs,
+        )
+    else:
+        rows, summary = _serve_one(
+            query, values, transport, server_names, shard_names, seed=seed, **knobs
+        )
+
+    if verify_equivalence:
+        for row in rows:
+            if row["status"] == "released":
+                solo = solo_release(
+                    query,
+                    session_values(values, row["session"]),
+                    session_seed(seed, row["session"]),
+                    num_servers=num_servers,
+                    group=group,
+                    nb_override=nb_override,
+                    chunk_size=chunk_size,
+                )
+                row["byte_identical"] = encode_message(solo) == row["release_frame"]
+    released = [row for row in rows if row["status"] == "released"]
+    elapsed = summary["elapsed_s"]
+    outcome = {
+        "transport": transport,
+        "sessions": sessions,
+        "frontends": frontends,
+        "capacity": capacity,
+        "num_servers": num_servers,
+        "shards": shards,
+        "n_clients": len(values),
+        "nb": nb,
+        "group": group,
+        "chunk_size": chunk_size,
+        "reply_delay_s": reply_delay,
+        **summary,
+        "sessions_per_sec": len(released) / elapsed if elapsed else float("inf"),
+        "p50_session_s": (
+            statistics.median(row["elapsed_s"] for row in released)
+            if released
+            else None
+        ),
+        "released": len(released),
+        "aborted": sum(1 for row in rows if row["status"] == "aborted"),
+        "crashed": sum(1 for row in rows if row["status"] == "crashed"),
+        "frontends_used": sorted(
+            {row["frontend"] for row in rows if row["frontend"] is not None}
+        ),
+        "accepted": bool(released) and all(row["accepted"] for row in released),
+        "session_rows": rows,
+    }
+    if verify_equivalence:
+        outcome["byte_identical"] = bool(released) and all(
+            row["byte_identical"] for row in released
+        )
+    return outcome
 
 
-# Every multiplexed session gets its own root seed (f"{seed}/s{s}") and
-# a rotated population; the canonical definitions live in repro.net.fleet
-# so the async and fleet drivers can never drift apart on them.
-_session_seed = session_seed
-_session_values = session_values
+def _released_row(
+    session: int, frame: bytes, accepted, estimate, elapsed_s, frontend=None
+) -> dict:
+    return {
+        "session": session,
+        "status": "released",
+        "frontend": frontend,
+        "accepted": accepted,
+        "estimate": tuple(estimate),
+        "elapsed_s": elapsed_s,
+        "release_bytes": len(frame),
+        "release_frame": frame,
+    }
+
+
+def _summary(elapsed_s: float, transport=None, restarts=None, stolen=0) -> dict:
+    """The mode-specific half of the outcome; the fleet's front-end
+    traffic stays in its worker processes."""
+    return {
+        "elapsed_s": elapsed_s,
+        "frontend_bytes_sent": transport and transport.bytes_sent,
+        "frontend_bytes_received": transport and transport.bytes_received,
+        "frontend_frames": transport
+        and transport.frames_sent + transport.frames_received,
+        "restarts": restarts or {},
+        "stolen": stolen,
+    }
 
 
 def _terminate_processes(processes) -> None:
@@ -100,295 +306,127 @@ def _terminate_processes(processes) -> None:
         process.join(timeout=5.0)
 
 
-def _server_main_pipes(
-    transport, seed: str | None, name: str, timeout: float = 60.0
-) -> None:
-    ServerNode(transport, _server_rng(seed, name), timeout=timeout).run()
+def _reap(workers) -> None:
+    """Join every started peer; a child still hung after the grace is
+    terminated (a hung thread is a daemon and dies with the process)."""
+    for worker in workers:
+        worker.join(timeout=30.0)
+        if worker.is_alive() and isinstance(worker, BaseProcess):
+            worker.terminate()  # pragma: no cover - hung child
 
 
-def _clients_main_pipes(
-    transport, query: Query, values, seed: str | None, timeout: float = 60.0
-) -> None:
-    ClientRunner(transport, query, values, rng=_root_rng(seed), timeout=timeout).run()
+# One session, the calling thread as analyst -----------------------------------
 
 
-def _server_main_socket(
-    name: str, host: str, port: int, seed: str | None, timeout: float = 60.0
-) -> None:
-    transport = SocketTransport.connect(name, "analyst", host, port)
-    ServerNode(transport, _server_rng(seed, name), timeout=timeout).run()
+def _pipe_peer(inherited, role: str, name: str, transport, **kwargs) -> None:
+    """Forked child entry: a child inherits every pipe end made before the
+    fork, so it closes all but its own — otherwise a dead sibling's
+    channel never reaches EOF and is blamed only after the full timeout."""
+    for other in inherited:
+        if other is not transport:
+            other.close()
+    run_peer(role, name, transport, **kwargs)
 
 
-def _shard_main_pipes(transport, timeout: float = 60.0) -> None:
-    ShardWorker(transport, timeout=timeout).run()
-
-
-def _shard_main_socket(name: str, host: str, port: int, timeout: float = 60.0) -> None:
-    transport = SocketTransport.connect(name, "analyst", host, port)
-    ShardWorker(transport, timeout=timeout).run()
-
-
-def _clients_main_socket(
-    host: str, port: int, query: Query, values, seed: str | None, timeout: float = 60.0
-) -> None:
-    transport = SocketTransport.connect("clients", "analyst", host, port)
-    ClientRunner(transport, query, values, rng=_root_rng(seed), timeout=timeout).run()
-
-
-def run_distributed_session(
-    query: Query,
+def _serve_one(
+    query,
     values,
+    transport: str,
+    server_names,
+    shard_names,
     *,
-    transport: str = "multiprocess",
-    num_servers: int = 2,
-    shards: int = 0,
-    group: str = "p64-sim",
-    nb_override: int | None = 64,
-    chunk_size: int | None = None,
-    seed: str | None = "serve",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    timeout: float = 120.0,
-    verify_equivalence: bool | None = None,
-) -> dict:
-    """Run one session as separate nodes; returns a result/metrics dict.
-
-    ``shards > 0`` serves through a :class:`ShardedAnalyst` with that
-    many :class:`ShardWorker` peers (threads on the memory transport,
-    processes otherwise) — verification fans out, Morra and the release
-    stay single.  ``verify_equivalence`` (default: on whenever seeded)
-    replays the same query through the in-process :class:`Session` with
-    the same seed *and the same effective chunk size* and compares the
-    wire-encoded releases byte for byte.
-    """
-    if transport not in _TRANSPORTS:
-        raise ParameterError(f"transport must be one of {_TRANSPORTS}")
-    if shards < 0:
-        raise ParameterError("shards must be >= 0 (0 = unsharded front-end)")
-    values = list(values)
-    server_names = [f"prover-{k}" for k in range(num_servers)]
-    shard_names = [f"shard-{s}" for s in range(shards)]
-    if verify_equivalence is None:
-        verify_equivalence = seed is not None
-
+    seed,
+    group,
+    nb_override,
+    chunk_size,
+    timeout,
+    reply_delay,
+):
+    seed = session_seed(seed, 0)
+    peers = [
+        *(("server", name) for name in server_names),
+        *(("shard", name) for name in shard_names),
+        ("clients", "clients"),
+    ]
+    peer_kwargs = {
+        "query": query,
+        "values": values,
+        "seed": seed,
+        "timeout": timeout,
+        "reply_delay": reply_delay,
+    }
     start = time.perf_counter()
     if transport == "memory":
-        analyst_transport, cleanup = _start_memory(
-            query, values, server_names, shard_names, seed, timeout
-        )
-    elif transport == "multiprocess":
-        analyst_transport, cleanup = _start_multiprocess(
-            query, values, server_names, shard_names, seed, timeout
-        )
+        hub = InMemoryHub()
+        analyst_transport = hub.endpoint("analyst")
+        ends = {name: hub.endpoint(name) for _, name in peers}
+        workers = [
+            threading.Thread(
+                target=run_peer,
+                args=(role, name, ends[name]),
+                kwargs=peer_kwargs,
+                name=name,
+                daemon=True,
+            )
+            for role, name in peers
+        ]
     else:
-        analyst_transport, cleanup = _start_socket(
-            query, values, server_names, shard_names, seed, host, port, timeout
+        analyst_transport, ends = multiprocess_star(
+            "analyst", [name for _, name in peers]
         )
+        inherited = [analyst_transport, *ends.values()]
+        context = get_context("fork")
+        workers = [
+            context.Process(
+                target=_pipe_peer,
+                args=(inherited, role, name, ends[name]),
+                kwargs=peer_kwargs,
+                daemon=True,
+            )
+            for role, name in peers
+        ]
 
+    started: list = []
     try:
-        if shards:
+        common = {
+            "group": group,
+            "nb_override": nb_override,
+            "chunk_size": chunk_size,
+            "rng": root_rng(seed),
+            "timeout": timeout,
+        }
+        if shard_names:
             analyst = ShardedAnalyst(
-                query,
-                analyst_transport,
-                server_names,
-                shard_names,
-                group=group,
-                nb_override=nb_override,
-                chunk_size=chunk_size,
-                rng=_root_rng(seed),
-                timeout=timeout,
+                query, analyst_transport, server_names, shard_names, **common
             )
         else:
-            analyst = AnalystNode(
-                query,
-                analyst_transport,
-                server_names,
-                group=group,
-                nb_override=nb_override,
-                chunk_size=chunk_size,
-                rng=_root_rng(seed),
-                timeout=timeout,
-            )
+            analyst = AnalystNode(query, analyst_transport, server_names, **common)
+        for worker in workers:
+            worker.start()
+            started.append(worker)
+        # The peer ends belong to the peers now (a no-op in memory).
+        for end in ends.values():
+            end.close()
         result = analyst.run()
+    except BaseException as exc:
+        # Nothing else wakes a peer blocked in recv on the in-memory
+        # bus; on every transport the one-way abort ends it promptly.
+        abort_peers(
+            analyst_transport, [name for _, name in peers], f"front-end aborted: {exc}"
+        )
+        raise
     finally:
-        # Close the analyst transport *before* joining children: after an
-        # analyst-side abort the children sit blocked in recv, and with
-        # the sockets/pipes still open they would hold them for the full
-        # join timeout.  Closing first turns their recv into an immediate
-        # ProtocolAbort, so cleanup reaps them promptly.
         analyst_transport.close()
-        cleanup()
+        _reap(started)
     elapsed = time.perf_counter() - start
-    effective_chunk = getattr(analyst, "chunk_size", chunk_size)
-
-    release_bytes = encode_message(result.release)
-    outcome = {
-        "transport": transport,
-        "num_servers": num_servers,
-        "shards": shards,
-        "n_clients": len(values),
-        "nb": analyst.params.nb,
-        "group": group,
-        "chunk_size": effective_chunk,
-        "accepted": result.release.accepted,
-        "estimate": result.release.estimate,
-        "elapsed_s": elapsed,
-        "frontend_bytes_sent": analyst_transport.bytes_sent,
-        "frontend_bytes_received": analyst_transport.bytes_received,
-        "frontend_frames": analyst_transport.frames_sent
-        + analyst_transport.frames_received,
-        "release_bytes": len(release_bytes),
-        "release": result.release,
-    }
-
-    if verify_equivalence:
-        session = Session(
-            query,
-            num_provers=num_servers,
-            group=group,
-            nb_override=nb_override,
-            chunk_size=effective_chunk,
-            rng=_root_rng(seed),
-        )
-        session.submit(values)
-        in_process = session.release().release
-        outcome["byte_identical"] = encode_message(in_process) == release_bytes
-    return outcome
-
-
-# Per-transport node launchers -------------------------------------------------
-
-
-def _start_memory(query, values, server_names, shard_names, seed, timeout):
-    hub = InMemoryHub()
-    analyst_transport = hub.endpoint("analyst")
-    threads = []
-    for name in server_names:
-        node = ServerNode(hub.endpoint(name), _server_rng(seed, name), timeout=timeout)
-        threads.append(threading.Thread(target=node.run, name=name, daemon=True))
-    for name in shard_names:
-        worker = ShardWorker(hub.endpoint(name), timeout=timeout)
-        threads.append(threading.Thread(target=worker.run, name=name, daemon=True))
-    runner = ClientRunner(
-        hub.endpoint("clients"), query, values, rng=_root_rng(seed), timeout=timeout
+    release = result.release
+    row = _released_row(
+        0, encode_message(release), release.accepted, release.estimate, elapsed
     )
-    threads.append(threading.Thread(target=runner.run, name="clients", daemon=True))
-    for thread in threads:
-        thread.start()
-
-    def cleanup():
-        for thread in threads:
-            thread.join(timeout=10.0)
-
-    return analyst_transport, cleanup
+    return [row], _summary(elapsed, analyst_transport)
 
 
-def _start_multiprocess(query, values, server_names, shard_names, seed, timeout):
-    context = get_context("fork")
-    analyst_transport, peer_transports = multiprocess_star(
-        "analyst", server_names + shard_names + ["clients"]
-    )
-    processes = [
-        context.Process(
-            target=_server_main_pipes,
-            args=(peer_transports[name], seed, name, timeout),
-            daemon=True,
-        )
-        for name in server_names
-    ]
-    processes += [
-        context.Process(
-            target=_shard_main_pipes,
-            args=(peer_transports[name], timeout),
-            daemon=True,
-        )
-        for name in shard_names
-    ]
-    processes.append(
-        context.Process(
-            target=_clients_main_pipes,
-            args=(peer_transports["clients"], query, values, seed, timeout),
-            daemon=True,
-        )
-    )
-    started: list = []
-    try:
-        for process in processes:
-            process.start()
-            started.append(process)
-        # The child ends of the pipes belong to the children now.
-        for peer_transport in peer_transports.values():
-            peer_transport.close()
-    except BaseException:
-        # A failed start must not leak the children already running (or
-        # the analyst's pipe ends): this cleanup used to exist only in
-        # the returned closure, which a raising startup never reached.
-        _terminate_processes(started)
-        analyst_transport.close()
-        raise
-
-    def cleanup():
-        for process in processes:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung child
-                process.terminate()
-
-    return analyst_transport, cleanup
-
-
-def _start_socket(query, values, server_names, shard_names, seed, host, port, timeout):
-    context = get_context("fork")
-    analyst_transport = SocketTransport.listen("analyst", host, port)
-    bound_port = analyst_transport.port
-    processes = [
-        context.Process(
-            target=_server_main_socket,
-            args=(name, host, bound_port, seed, timeout),
-            daemon=True,
-        )
-        for name in server_names
-    ]
-    processes += [
-        context.Process(
-            target=_shard_main_socket,
-            args=(name, host, bound_port, timeout),
-            daemon=True,
-        )
-        for name in shard_names
-    ]
-    processes.append(
-        context.Process(
-            target=_clients_main_socket,
-            args=(host, bound_port, query, values, seed, timeout),
-            daemon=True,
-        )
-    )
-    started: list = []
-    try:
-        for process in processes:
-            process.start()
-            started.append(process)
-        analyst_transport.accept(
-            len(processes), timeout, expected=server_names + shard_names + ["clients"]
-        )
-    except BaseException:
-        # accept() raising (timeout, hostile handshakes, listener error)
-        # used to leak every started child *and* the listening socket —
-        # the cleanup closure was only returned on success.
-        _terminate_processes(started)
-        analyst_transport.close()
-        raise
-
-    def cleanup():
-        for process in processes:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung child
-                process.terminate()
-
-    return analyst_transport, cleanup
-
-
-# Async multiplexed serving ----------------------------------------------------
+# The multiplexed socket front-end ---------------------------------------------
 
 
 def _async_server_main(
@@ -406,10 +444,7 @@ def _async_server_main(
         transport = await AsyncSocketTransport.connect(name, "analyst", host, port)
         node = AsyncServerNode(
             transport,
-            {
-                s: _server_rng(_session_seed(seed, s), name)
-                for s in range(sessions)
-            },
+            {s: peer_rng(session_seed(seed, s), name) for s in range(sessions)},
             timeout=timeout,
             reply_delay=reply_delay,
         )
@@ -437,8 +472,8 @@ def _async_clients_main(
             {
                 s: (
                     query,
-                    _session_values(list(values), s),
-                    _root_rng(_session_seed(seed, s)),
+                    session_values(list(values), s),
+                    root_rng(session_seed(seed, s)),
                 )
                 for s in range(sessions)
             },
@@ -450,35 +485,30 @@ def _async_clients_main(
     asyncio.run(go())
 
 
-def _async_shard_main(
-    name: str,
-    host: str,
-    port: int,
-    sessions: int,
-    timeout: float = 60.0,
+def _shard_threads_main(
+    name: str, host: str, port: int, sessions: int, timeout: float = 60.0
 ) -> None:
-    """Child process: one blocking ShardWorker thread per session, each
-    over its own session-scoped connection (the worker itself is the
-    unchanged single-session code — scoped channels do the routing)."""
-
-    def one(session: int) -> None:
-        try:
-            transport = SocketTransport.connect(
-                name, "analyst", host, port, session=session, timeout=timeout
-            )
-        except OSError:
-            return
-        try:
-            ShardWorker(transport, timeout=timeout).run()
-        except ParameterError:
-            raise
-        except Exception:  # repro: allow[REP004] -- shard worker thread: the front-end already attributed the abort; re-raising here would only crash the demo harness
-            pass  # an aborted session already has attribution front-end side
-        finally:
-            transport.close()
-
+    """Child process: one shard worker per session, each a thread over
+    its own session-scoped connection (scoped channels do the routing)."""
     threads = [
-        threading.Thread(target=one, args=(s,), daemon=True)
+        threading.Thread(
+            target=run_peer,
+            args=(
+                "shard",
+                name,
+                functools.partial(
+                    SocketTransport.connect,
+                    name,
+                    "analyst",
+                    host,
+                    port,
+                    session=s,
+                    timeout=timeout,
+                ),
+            ),
+            kwargs={"timeout": timeout},
+            daemon=True,
+        )
         for s in range(sessions)
     ]
     for thread in threads:
@@ -487,66 +517,23 @@ def _async_shard_main(
         thread.join()
 
 
-def run_async_sessions(
-    query: Query,
+def _serve_mux(
+    query,
     values,
+    sessions: int,
+    server_names,
+    shard_names,
     *,
-    sessions: int = 2,
-    num_servers: int = 2,
-    shards: int = 0,
-    group: str = "p64-sim",
-    nb_override: int | None = 64,
-    chunk_size: int | None = None,
-    seed: str | None = "serve",
-    host: str = "127.0.0.1",
-    port: int = 0,
-    timeout: float = 120.0,
-    reply_delay: float = 0.0,
-    verify_equivalence: bool | None = None,
-    metrics: ServingMetrics | None = None,
-) -> dict:
-    """N concurrent sessions through one :class:`SessionMux` front-end.
-
-    The topology is the socket one of :func:`run_distributed_session`,
-    made async: K :class:`AsyncServerNode` processes (each hosting one
-    prover per session over a single connection) and one
-    :class:`AsyncClientRunner` process (one population per session, with
-    session s's values rotated by s), all multiplexed by a single
-    front-end process.  Session *s* runs under seed ``{seed}/s{s}``, and
-    ``verify_equivalence`` (default: on whenever seeded) replays every
-    session through a solo in-process :class:`Session` and compares the
-    wire-encoded releases byte for byte.
-
-    ``shards > 0`` backs *every* session with that many
-    :class:`ShardWorker` peers — the ``--async --shards`` composition:
-    one front-end multiplexes N sessions, each fanning verification
-    across S session-scoped shard workers, with the effective chunk size
-    pinned so the solo replay stays byte-identical.
-
-    ``reply_delay`` makes every server sleep that long before each RPC
-    reply — simulated remote-prover latency, the idle time the mux
-    exists to overlap (benchmark knob, zero by default).
-    """
-    if sessions < 1:
-        raise ParameterError("sessions must be >= 1")
-    if shards < 0:
-        raise ParameterError("shards must be >= 0 (0 = unsharded sessions)")
-    values = list(values)
-    server_names = [f"prover-{k}" for k in range(num_servers)]
-    shard_names = tuple(f"shard-{j}" for j in range(shards))
-    if verify_equivalence is None:
-        verify_equivalence = seed is not None
-
-    params = query.build_params(
-        num_provers=num_servers, group=group, nb_override=nb_override
-    )
-    effective_chunk = chunk_size
-    if shard_names and effective_chunk is None:
-        # The sharded default (at least two chunks per shard), pinned
-        # here so the solo-replay equivalence check runs with the same
-        # chunking the ShardedAnalyst will pick.
-        effective_chunk = max(1, -(-params.nb // (2 * len(shard_names))))
-
+    seed,
+    host,
+    port,
+    metrics,
+    group,
+    nb_override,
+    chunk_size,
+    timeout,
+    reply_delay,
+):
     # Bind the listener before forking so children know the port; the
     # asyncio server adopts this socket inside the loop.
     listener_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -566,7 +553,7 @@ def run_async_sessions(
     ]
     processes += [
         context.Process(
-            target=_async_shard_main,
+            target=_shard_threads_main,
             args=(name, host, bound_port, sessions, timeout),
             daemon=True,
         )
@@ -579,9 +566,10 @@ def run_async_sessions(
             daemon=True,
         )
     )
+    peer_names = [*server_names, *shard_names, "clients"]
     # Servers and clients hold one SESSION_ANY connection each; every
     # shard child holds one *scoped* connection per session.
-    expected_conns = num_servers + 1 + shards * sessions
+    expected_conns = len(server_names) + 1 + len(shard_names) * sessions
 
     mux_box: dict = {}
     start = time.perf_counter()
@@ -600,7 +588,7 @@ def run_async_sessions(
                 expected_conns,
                 timeout,
                 expected=[
-                    (name, SESSION_ANY) for name in server_names + ["clients"]
+                    (name, SESSION_ANY) for name in [*server_names, "clients"]
                 ]
                 + [(name, s) for name in shard_names for s in range(sessions)],
             )
@@ -608,11 +596,11 @@ def run_async_sessions(
             specs = [
                 SessionSpec(
                     query,
-                    rng=_root_rng(_session_seed(seed, s)),
+                    rng=root_rng(session_seed(seed, s)),
                     group=group,
                     nb_override=nb_override,
-                    chunk_size=effective_chunk,
-                    shards=shard_names,
+                    chunk_size=chunk_size,
+                    shards=tuple(shard_names),
                 )
                 for s in range(sessions)
             ]
@@ -621,9 +609,12 @@ def run_async_sessions(
             )
             mux_box["mux"] = mux
             await mux.run()
+            for s, error in mux.errors.items():
+                await abort_session_peers(
+                    transport, s, peer_names, f"front-end aborted: {error}"
+                )
         finally:
-            # Unblock children before they are joined (same lifecycle rule
-            # as the sync path's cleanup ordering).
+            # Unblock children before they are joined.
             await transport.aclose()
 
     started: list = []
@@ -637,66 +628,85 @@ def run_async_sessions(
         listener_sock.close()
         raise
     finally:
-        for process in started:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover - hung child
-                process.terminate()
+        _reap(started)
     elapsed = time.perf_counter() - start
 
     mux = mux_box["mux"]
-    transport = mux_box["transport"]
-    for _, error in sorted(mux.errors.items()):
-        if error is not None:
-            raise error
-    session_rows = []
+    if mux.errors:
+        raise mux.errors[min(mux.errors)]
+    rows = []
     for s, result in sorted(mux.results.items()):
-        release_bytes = encode_message(result.release)
-        row = {
-            "session": s,
-            "accepted": result.release.accepted,
-            "estimate": result.release.estimate,
-            "elapsed_s": mux.session_seconds[s],
-            "release_bytes": len(release_bytes),
-        }
-        if verify_equivalence:
-            solo = Session(
-                query,
-                num_provers=num_servers,
-                group=group,
-                nb_override=nb_override,
-                chunk_size=effective_chunk,
-                rng=_root_rng(_session_seed(seed, s)),
+        release = result.release
+        rows.append(
+            _released_row(
+                s,
+                encode_message(release),
+                release.accepted,
+                release.estimate,
+                mux.session_seconds[s],
             )
-            solo.submit(_session_values(values, s))
-            row["byte_identical"] = (
-                encode_message(solo.release().release) == release_bytes
-            )
-        session_rows.append(row)
-
-    outcome = {
-        "transport": "async-socket",
-        "sessions": sessions,
-        "num_servers": num_servers,
-        "shards": shards,
-        "n_clients": len(values),
-        "nb": params.nb,
-        "group": group,
-        "chunk_size": effective_chunk,
-        "reply_delay_s": reply_delay,
-        "elapsed_s": elapsed,
-        "sessions_per_sec": sessions / elapsed if elapsed else float("inf"),
-        "p50_session_s": statistics.median(mux.session_seconds.values()),
-        "accepted": all(row["accepted"] for row in session_rows),
-        "frontend_bytes_sent": transport.bytes_sent,
-        "frontend_bytes_received": transport.bytes_received,
-        "frontend_frames": transport.frames_sent + transport.frames_received,
-        "session_rows": session_rows,
-    }
-    if verify_equivalence:
-        outcome["byte_identical"] = all(
-            row["byte_identical"] for row in session_rows
         )
-    return outcome
+    return rows, _summary(elapsed, mux_box["transport"])
+
+
+# The fleet --------------------------------------------------------------------
+
+
+def _serve_fleet(query, values, sessions: int, config: FleetConfig, seed, metrics):
+    requests = [
+        SessionRequest(
+            s, query, session_values(values, s), seed=session_seed(seed, s)
+        )
+        for s in range(sessions)
+    ]
+    dispatcher = FleetDispatcher(config, metrics=metrics)
+    start = time.perf_counter()
+    try:
+        dispatcher.start()
+        for request in requests:
+            dispatcher.submit(request)
+        dispatcher.wait(timeout=config.timeout + 30.0)
+        elapsed = time.perf_counter() - start
+        dispatcher.drain(timeout=config.timeout)
+    finally:
+        dispatcher.stop()
+
+    rows = []
+    for request in requests:
+        outcome = dispatcher.outcomes.get(request.request_id)
+        if outcome is None:
+            rows.append(
+                {
+                    "session": request.request_id,
+                    "status": "lost",
+                    "frontend": None,
+                    "reason": "no outcome before the wait deadline",
+                }
+            )
+        elif outcome.status == "released":
+            rows.append(
+                _released_row(
+                    request.request_id,
+                    outcome.release_frame,
+                    outcome.accepted,
+                    outcome.estimate,
+                    outcome.elapsed_s,
+                    outcome.frontend,
+                )
+            )
+        else:
+            rows.append(
+                {
+                    "session": request.request_id,
+                    "status": outcome.status,
+                    "frontend": outcome.frontend,
+                    "party": outcome.party,
+                    "reason": outcome.reason,
+                }
+            )
+    return rows, _summary(
+        elapsed, restarts=dict(dispatcher.restarts), stolen=dispatcher.stolen
+    )
 
 
 # CLI entry --------------------------------------------------------------------
@@ -732,44 +742,106 @@ def _dispatch(args) -> int:
     else:
         query = CountQuery(epsilon=1.0, delta=2**-10)
         values = [i % 2 for i in range(args.clients)]
-    if getattr(args, "fleet", False):
-        return _main_fleet(args, query, values)
-    if getattr(args, "use_async", False):
-        return _main_async(args, query, values)
-    outcome = run_distributed_session(
-        query,
-        values,
-        transport=args.transport,
-        num_servers=args.servers,
-        shards=args.shards,
-        group=args.group,
-        nb_override=args.nb,
-        chunk_size=args.chunk,
-        seed=args.seed,
-        host=args.host,
-        port=args.port,
-        timeout=args.timeout,
-    )
-    sharded = f", S={outcome['shards']} shards" if outcome["shards"] else ""
-    print(
-        f"== distributed session ({outcome['transport']}, "
-        f"K={outcome['num_servers']}{sharded}, n={outcome['n_clients']}, "
-        f"nb={outcome['nb']}, {outcome['group']}) =="
-    )
-    print(f"accepted:          {outcome['accepted']}")
-    print(f"estimate:          {tuple(round(v, 2) for v in outcome['estimate'])}")
-    print(f"elapsed:           {outcome['elapsed_s']:.2f}s")
-    print(
-        "front-end traffic: "
-        f"{outcome['frontend_bytes_sent']} B out, "
-        f"{outcome['frontend_bytes_received']} B in, "
-        f"{outcome['frontend_frames']} frames"
-    )
-    print(f"release frame:     {outcome['release_bytes']} B")
+    knobs = {
+        "shards": args.shards,
+        "num_servers": args.servers,
+        "group": args.group,
+        "nb_override": args.nb,
+        "chunk_size": args.chunk,
+        "host": args.host,
+        "timeout": args.timeout,
+    }
+    if args.fleet:
+        if args.transport != "socket":
+            raise ParameterError("--fleet serves over the socket transport only")
+        if args.fleet_config:
+            config = FleetConfig.from_file(args.fleet_config)
+        else:
+            config = FleetConfig(
+                frontends=args.frontends, capacity=args.capacity, **knobs
+            )
+        if args.listen is not None:
+            return _main_fleet_gateway(args, query, config)
+        knobs = config.as_dict()
+    metrics, metrics_server = _start_metrics(args)
+    try:
+        outcome = run_sessions(
+            query,
+            values,
+            transport=args.transport,
+            sessions=args.sessions,
+            seed=args.seed,
+            port=args.port,
+            metrics=metrics,
+            **knobs,
+        )
+    finally:
+        if metrics_server is not None:
+            metrics_server.close()
+    return _report(outcome)
+
+
+def _report(outcome: dict) -> int:
+    """Print a :func:`run_sessions` outcome; returns the exit code."""
+    shape = [outcome["transport"]]
+    if outcome["frontends"]:
+        shape.append(
+            f"F={outcome['frontends']} front-ends x capacity {outcome['capacity']}"
+        )
+    shape += [f"N={outcome['sessions']} sessions", f"K={outcome['num_servers']}"]
+    if outcome["shards"]:
+        shape.append(f"S={outcome['shards']} shards/session")
+    shape += [
+        f"n={outcome['n_clients']} clients/session",
+        f"nb={outcome['nb']}",
+        outcome["group"],
+    ]
+    print(f"== serving ({', '.join(shape)}) ==")
+    for row in outcome["session_rows"]:
+        where = f" [{row['frontend']}]" if row["frontend"] is not None else ""
+        if row["status"] == "released":
+            estimate = tuple(round(v, 2) for v in row["estimate"])
+            line = (
+                f"session {row['session']}{where}: released "
+                f"accepted={row['accepted']} estimate={estimate} "
+                f"elapsed={row['elapsed_s']:.2f}s"
+            )
+            if "byte_identical" in row:
+                line += f" byte_identical={row['byte_identical']}"
+        else:
+            line = (
+                f"session {row['session']}{where}: "
+                f"{row['status']} ({row.get('reason')})"
+            )
+        print(line)
+    print(f"wall time:         {outcome['elapsed_s']:.2f}s")
+    print(f"aggregate:         {outcome['sessions_per_sec']:.2f} sessions/s")
+    if outcome["p50_session_s"] is not None:
+        print(f"p50 session:       {outcome['p50_session_s']:.2f}s")
+    if outcome["frontends"]:
+        print(
+            f"fleet health:      released={outcome['released']} "
+            f"aborted={outcome['aborted']} crashed={outcome['crashed']} "
+            f"restarts={sum(outcome['restarts'].values())} "
+            f"stolen={outcome['stolen']}"
+        )
+        print(f"front-ends used:   {', '.join(outcome['frontends_used']) or 'none'}")
+    if outcome["frontend_bytes_sent"] is not None:
+        print(
+            "front-end traffic: "
+            f"{outcome['frontend_bytes_sent']} B out, "
+            f"{outcome['frontend_bytes_received']} B in, "
+            f"{outcome['frontend_frames']} frames"
+        )
     if "byte_identical" in outcome:
-        print(f"byte-identical to in-process Session: {outcome['byte_identical']}")
+        print(
+            "byte-identical to solo in-process Sessions: "
+            f"{outcome['byte_identical']}"
+        )
         if not outcome["byte_identical"]:
             return 1
+    if outcome["released"] < outcome["sessions"]:
+        return 1
     return 0 if outcome["accepted"] else 1
 
 
@@ -786,137 +858,6 @@ def _start_metrics(args):
     server = MetricsServer(metrics.registry, host=args.host, port=args.metrics_port)
     print(f"metrics: http://{args.host}:{server.port}/metrics", flush=True)
     return metrics, server
-
-
-def _main_async(args, query: Query, values) -> int:
-    metrics, metrics_server = _start_metrics(args)
-    try:
-        outcome = run_async_sessions(
-            query,
-            values,
-            sessions=args.sessions,
-            num_servers=args.servers,
-            shards=args.shards,
-            group=args.group,
-            nb_override=args.nb,
-            chunk_size=args.chunk,
-            seed=args.seed,
-            host=args.host,
-            port=args.port,
-            timeout=args.timeout,
-            metrics=metrics,
-        )
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
-    sharded = f", S={outcome['shards']} shards/session" if outcome["shards"] else ""
-    print(
-        f"== async multiplexed serving (N={outcome['sessions']} sessions, "
-        f"K={outcome['num_servers']}{sharded}, "
-        f"n={outcome['n_clients']} clients/session, "
-        f"nb={outcome['nb']}, {outcome['group']}) =="
-    )
-    for row in outcome["session_rows"]:
-        estimate = tuple(round(v, 2) for v in row["estimate"])
-        line = (
-            f"session {row['session']}: accepted={row['accepted']} "
-            f"estimate={estimate} elapsed={row['elapsed_s']:.2f}s"
-        )
-        if "byte_identical" in row:
-            line += f" byte_identical={row['byte_identical']}"
-        print(line)
-    print(f"wall time:         {outcome['elapsed_s']:.2f}s")
-    print(f"aggregate:         {outcome['sessions_per_sec']:.2f} sessions/s")
-    print(f"p50 session:       {outcome['p50_session_s']:.2f}s")
-    print(
-        "front-end traffic: "
-        f"{outcome['frontend_bytes_sent']} B out, "
-        f"{outcome['frontend_bytes_received']} B in, "
-        f"{outcome['frontend_frames']} frames"
-    )
-    if "byte_identical" in outcome:
-        print(
-            "byte-identical to solo in-process Sessions: "
-            f"{outcome['byte_identical']}"
-        )
-        if not outcome["byte_identical"]:
-            return 1
-    return 0 if outcome["accepted"] else 1
-
-
-def _main_fleet(args, query: Query, values) -> int:
-    if getattr(args, "fleet_config", None):
-        config = FleetConfig.from_file(args.fleet_config)
-    else:
-        config = FleetConfig(
-            frontends=args.frontends,
-            capacity=args.capacity,
-            shards=args.shards,
-            num_servers=args.servers,
-            group=args.group,
-            nb_override=args.nb,
-            chunk_size=args.chunk,
-            host=args.host,
-            timeout=args.timeout,
-        )
-    if getattr(args, "listen", None) is not None:
-        return _main_fleet_gateway(args, query, config)
-    metrics, metrics_server = _start_metrics(args)
-    try:
-        outcome = run_fleet(
-            query,
-            values,
-            sessions=args.sessions,
-            config=config,
-            seed=args.seed,
-            metrics=metrics,
-        )
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
-    sharded = f", S={outcome['shards']} shards/session" if outcome["shards"] else ""
-    print(
-        f"== fleet serving (F={outcome['frontends']} front-ends x "
-        f"capacity {outcome['capacity']}{sharded}, "
-        f"K={outcome['num_servers']}, N={outcome['sessions']} sessions, "
-        f"n={outcome['n_clients']} clients/session, "
-        f"nb={outcome['nb']}, {outcome['group']}) =="
-    )
-    for row in outcome["session_rows"]:
-        if row["status"] == "released":
-            estimate = tuple(round(v, 2) for v in row["estimate"])
-            line = (
-                f"session {row['session']} [{row['frontend']}]: released "
-                f"accepted={row['accepted']} estimate={estimate} "
-                f"elapsed={row['elapsed_s']:.2f}s"
-            )
-            if "byte_identical" in row:
-                line += f" byte_identical={row['byte_identical']}"
-        else:
-            line = (
-                f"session {row['session']} [{row['frontend']}]: "
-                f"{row['status']} ({row.get('reason')})"
-            )
-        print(line)
-    print(f"wall time:         {outcome['elapsed_s']:.2f}s")
-    print(f"aggregate:         {outcome['sessions_per_sec']:.2f} sessions/s")
-    print(
-        f"fleet health:      released={outcome['released']} "
-        f"aborted={outcome['aborted']} crashed={outcome['crashed']} "
-        f"restarts={sum(outcome['restarts'].values())} "
-        f"stolen={outcome['stolen']}"
-    )
-    print(f"front-ends used:   {', '.join(outcome['frontends_used']) or 'none'}")
-    if "byte_identical" in outcome:
-        print(
-            "byte-identical to solo in-process Sessions: "
-            f"{outcome['byte_identical']}"
-        )
-        if not outcome["byte_identical"]:
-            return 1
-    if outcome["released"] < outcome["sessions"]:
-        return 1
-    return 0 if outcome["accepted"] else 1
 
 
 def _interrupt(signum, frame) -> None:

@@ -76,7 +76,7 @@ from repro.utils.encoding import (
 )
 from repro.utils.rng import RNG, SystemRNG
 
-__all__ = ["ShardWorker", "ShardedAnalyst"]
+__all__ = ["ShardWorker", "ShardedAnalyst", "sharded_chunk_size"]
 
 _ANALYST = "analyst"
 _CLIENTS = "clients"
@@ -87,6 +87,13 @@ _STATUS_CODE = {
     ClientStatus.BAD_OPENING: 2,
 }
 _CODE_STATUS = {code: status for status, code in _STATUS_CODE.items()}
+
+
+def sharded_chunk_size(nb: int, shards: int) -> int:
+    """The sharded default chunk size: at least two chunks per shard, so
+    ownership round-robins.  Launchers pin it up front so a solo replay
+    runs with the chunking the :class:`ShardedAnalyst` picks."""
+    return max(1, -(-nb // (2 * shards)))
 
 
 def _encode_element(element) -> bytes:
@@ -382,8 +389,7 @@ class ShardedAnalyst:
             num_provers=len(servers), group=group, nb_override=nb_override
         )
         if chunk_size is None:
-            # At least two chunks per shard so ownership round-robins.
-            chunk_size = max(1, -(-params.nb // max(2 * len(self.shards), 1)))
+            chunk_size = sharded_chunk_size(params.nb, len(self.shards))
         self.chunk_size = chunk_size
         plan = query.build_plan()
         verifier = _ShardedVerifier(

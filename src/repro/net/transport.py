@@ -441,6 +441,7 @@ class SocketTransport(Transport):
                 sock.close()
                 self._note_dropped(f"duplicate name {peer[:64]!r}")
                 continue
+            _no_delay(sock)
             self._sockets[peer] = sock
             names.append(peer)
         return names
@@ -481,6 +482,7 @@ class SocketTransport(Transport):
         connection's traffic to session *s*."""
         transport = cls(name, max_frame_bytes=max_frame_bytes, session=session)
         sock = socket.create_connection((host, port), timeout=timeout)
+        _no_delay(sock)
         sock.sendall(pack_handshake(name, session))
         transport._sockets[peer] = sock
         return transport
@@ -516,6 +518,12 @@ class SocketTransport(Transport):
                 pass
         if self._listener is not None:
             self._listener.close()
+
+
+def _no_delay(sock: socket.socket) -> None:
+    # Protocol frames are small request/reply RPCs: Nagle plus delayed
+    # ACKs would stall each one (asyncio streams already set this).
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def _read_session_frame(

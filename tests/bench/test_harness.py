@@ -152,9 +152,9 @@ class TestRunAndGate:
             assert not caveats
 
     def test_strict_run_raises_on_lost_invariant(self, monkeypatch):
-        monkeypatch.setitem(
-            harness._RUNNERS,
-            "in-process",
+        monkeypatch.setattr(
+            harness,
+            "_run_in_process",
             lambda cell, fixed: {
                 "wall_s": 0.1,
                 "sessions_per_sec": 10.0,

@@ -155,8 +155,9 @@ class TestREP005ResourceLifecycle:
         assert run_rule("REP005", "rep005_clean.py") == []
 
     def test_pr5_regression_shape(self):
-        """The literal serve._start_socket bug class PR 5 fixed by hand:
-        children started, accept raises, nothing terminates them."""
+        """The literal bug class PR 5 fixed by hand in the socket
+        launcher: children started, accept raises, nothing terminates
+        them."""
         source = (
             "def start(context, targets, accept):\n"
             "    processes = [context.Process(target=t) for t in targets]\n"

@@ -20,14 +20,9 @@ from repro.api.queries import CountQuery
 from repro.api.session import Session
 from repro.crypto.serialization import encode_message
 from repro.errors import ParameterError
-from repro.net.fleet import (
-    FleetConfig,
-    FleetDispatcher,
-    SessionRequest,
-    run_fleet,
-    session_seed,
-    session_values,
-)
+from repro.net.fleet import FleetConfig, FleetDispatcher, SessionRequest
+from repro.net.peers import session_seed, session_values
+from repro.net.serve import run_sessions
 from repro.utils.rng import SeededRNG
 
 DELTA = 2**-10
@@ -51,7 +46,7 @@ class TestFleetServing:
     def test_fleet_releases_byte_identical_across_frontends(self):
         """4 sessions over 2 front-ends x capacity 2: every release
         byte-identical to its solo seeded run, both front-ends used."""
-        outcome = run_fleet(
+        outcome = run_sessions(
             QUERY,
             [1, 0, 1, 1],
             sessions=4,
@@ -75,7 +70,7 @@ class TestFleetServing:
         """The --fleet --shards composition: every session fans its
         verification across 2 shard workers and still releases
         byte-identical (at the pinned effective chunk size)."""
-        outcome = run_fleet(
+        outcome = run_sessions(
             QUERY,
             [1, 0, 1, 1],
             sessions=3,

@@ -1,11 +1,11 @@
 """Distributed role nodes: byte-identical releases and wire-level attacks.
 
 The acceptance bar of the redesign: a 2-server multi-client session run
-as separate OS processes produces a release byte-identical to the
-in-process :class:`repro.api.Session` under seeded RNG, over both
-``MultiprocessTransport`` and ``SocketTransport``; and a tampered frame
-is rejected with the correct party named by the existing
-snapshot-replay pinpointing.
+as separate nodes produces a release byte-identical to the in-process
+:class:`repro.api.Session` under seeded RNG, over every serving mode of
+:func:`~repro.net.serve.run_sessions`; and a tampered frame is rejected
+with the correct party named by the existing snapshot-replay
+pinpointing.
 """
 
 import functools
@@ -19,7 +19,8 @@ from repro.core.messages import ClientStatus, ProverStatus
 from repro.core.prover import OutputTamperingProver
 from repro.crypto.serialization import encode_message
 from repro.net.nodes import AnalystNode, ClientRunner, ServerNode
-from repro.net.serve import run_distributed_session
+from repro.net.peers import run_peer, session_seed
+from repro.net.serve import run_sessions
 from repro.net.transport import InMemoryHub, Transport, multiprocess_star
 from repro.utils.rng import SeededRNG
 
@@ -44,7 +45,7 @@ class TestEquivalence:
     def test_two_server_count_session_byte_identical(self, transport):
         query = CountQuery(epsilon=1.0, delta=DELTA)
         values = [1, 0, 1, 1, 0, 1, 1]
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             query,
             values,
             transport=transport,
@@ -55,14 +56,44 @@ class TestEquivalence:
         )
         assert outcome["accepted"]
         assert outcome["byte_identical"]
-        assert encode_message(outcome["release"]) == in_process_release_bytes(
-            query, values, seed="equiv"
+        assert outcome["session_rows"][0]["release_frame"] == (
+            in_process_release_bytes(query, values, seed=session_seed("equiv", 0))
+        )
+
+    def test_every_mode_releases_the_same_bytes(self):
+        """One seeded unsharded session over the in-memory bus, pipes, a
+        one-session mux and a one-front-end fleet: identical releases."""
+        query = CountQuery(epsilon=1.0, delta=DELTA)
+        values = [1, 0, 1, 1, 0]
+        modes = [
+            {"transport": "memory"},
+            {"transport": "multiprocess"},
+            {"transport": "socket"},
+            {"transport": "socket", "frontends": 1},
+        ]
+        frames = []
+        for mode in modes:
+            outcome = run_sessions(
+                query,
+                values,
+                num_servers=2,
+                group="p64-sim",
+                nb_override=32,
+                seed="every-mode",
+                timeout=60.0,
+                **mode,
+            )
+            assert outcome["accepted"] and outcome["byte_identical"], mode
+            frames.append(outcome["session_rows"][0]["release_frame"])
+        assert len(set(frames)) == 1
+        assert frames[0] == in_process_release_bytes(
+            query, values, seed=session_seed("every-mode", 0)
         )
 
     def test_streamed_histogram_byte_identical_multiprocess(self):
         query = HistogramQuery(bins=3, epsilon=1.0, delta=DELTA)
         values = [0, 1, 2, 1, 1, 0]
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             query,
             values,
             transport="multiprocess",
@@ -77,7 +108,7 @@ class TestEquivalence:
     def test_bounded_sum_single_server_memory(self):
         query = BoundedSumQuery(value_bits=3, epsilon=2.0, delta=DELTA)
         values = [5, 2, 7, 0]
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             query,
             values,
             transport="memory",
@@ -89,7 +120,7 @@ class TestEquivalence:
         assert outcome["accepted"] and outcome["byte_identical"]
 
     def test_unseeded_run_accepts(self):
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             CountQuery(epsilon=1.0, delta=DELTA),
             [1, 0, 1],
             transport="memory",
@@ -101,7 +132,7 @@ class TestEquivalence:
         assert "byte_identical" not in outcome
 
     def test_front_end_traffic_accounted(self):
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             CountQuery(epsilon=1.0, delta=DELTA),
             [1, 0, 1],
             transport="memory",
@@ -147,8 +178,6 @@ class TestWireTampering:
         """Multiprocess session; prover-1's first coin frame is bit-flipped."""
         from multiprocessing import get_context
 
-        from repro.net.serve import _clients_main_pipes, _server_main_pipes
-
         query = CountQuery(epsilon=1.0, delta=DELTA)
         values = [1, 0, 1, 1]
         seed = "tamper"
@@ -157,14 +186,18 @@ class TestWireTampering:
         context = get_context("fork")
         processes = [
             context.Process(
-                target=_server_main_pipes, args=(peers[name], seed, name), daemon=True
+                target=run_peer,
+                args=("server", name, peers[name]),
+                kwargs={"seed": seed},
+                daemon=True,
             )
             for name in server_names
         ]
         processes.append(
             context.Process(
-                target=_clients_main_pipes,
-                args=(peers["clients"], query, values, seed),
+                target=run_peer,
+                args=("clients", "clients", peers["clients"]),
+                kwargs={"query": query, "values": values, "seed": seed},
                 daemon=True,
             )
         )

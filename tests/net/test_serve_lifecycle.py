@@ -2,9 +2,9 @@
 
 Bugs fixed in the serve layer, pinned here:
 
-* a failed ``accept`` in ``_start_socket`` used to leak every started
-  child process *and* the listening socket — the cleanup closure was
-  only returned on success;
+* a failed ``accept`` on the socket front-end used to leak every
+  started child process *and* the listening socket — the cleanup
+  closure was only returned on success;
 * peer shutdown used to be serial with a full protocol-timeout recv per
   peer, so one dead peer stalled teardown by timeout × remaining peers,
   and the bare ``except ReproError: pass`` discarded which peer was
@@ -16,13 +16,18 @@ Bugs fixed in the serve layer, pinned here:
   attributed party on stderr;
 * ``repro serve --fleet --listen`` used to die on SIGTERM (exit -15)
   and leave its front-end processes running; SIGTERM now drains like
-  Ctrl-C and exits 0.
+  Ctrl-C and exits 0;
+* a pipe child used to keep every sibling's pipe end open, so a dead
+  prover was blamed only after the full protocol timeout;
+* an analyst-side abort on the in-memory bus used to leave its peers
+  blocked in recv until their timeout, and teardown waited on them.
 """
 
 import os
 import pathlib
 import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,9 +40,9 @@ from repro.cli import _serve_parser
 from repro.core.messages import AuditRecord
 from repro.errors import ParameterError, ProtocolAbort
 from repro.net import serve
-from repro.net.nodes import shutdown_peers
+from repro.net.nodes import ServerNode, shutdown_peers
 from repro.net.transport import InMemoryHub
-from repro.net.wire import decode_control, encode_reply
+from repro.net.wire import decode_control, encode_abort_reply, encode_reply
 
 DELTA = 2**-10
 
@@ -59,15 +64,15 @@ class _RecordingContext:
 
 class TestFailedStartupLeaks:
     def test_failed_socket_accept_terminates_children(self, monkeypatch):
-        """Children that never handshake force an accept timeout; the
-        startup must terminate every started child and close the
-        listener instead of leaking them."""
+        """Peer hosts that never handshake force an accept timeout on the
+        socket front-end; the launcher must terminate every started child
+        and close the listener instead of leaking them."""
 
         def never_connects(*args, **kwargs):  # runs in the forked child
             time.sleep(120)
 
-        monkeypatch.setattr(serve, "_server_main_socket", never_connects)
-        monkeypatch.setattr(serve, "_clients_main_socket", never_connects)
+        monkeypatch.setattr(serve, "_async_server_main", never_connects)
+        monkeypatch.setattr(serve, "_async_clients_main", never_connects)
         spawned = []
         real_get_context = serve.get_context
         monkeypatch.setattr(
@@ -75,33 +80,37 @@ class TestFailedStartupLeaks:
             "get_context",
             lambda kind: _RecordingContext(real_get_context(kind), spawned),
         )
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
 
-        query = CountQuery(epsilon=1.0, delta=DELTA)
         start = time.monotonic()
         with pytest.raises(ProtocolAbort):
-            serve._start_socket(
-                query,
+            serve.run_sessions(
+                CountQuery(epsilon=1.0, delta=DELTA),
                 [1, 0],
-                ["prover-0", "prover-1"],
-                [],
-                "leak",
-                "127.0.0.1",
-                0,
-                1.0,
+                transport="socket",
+                num_servers=2,
+                nb_override=16,
+                seed="leak",
+                port=port,
+                timeout=1.0,
             )
         assert time.monotonic() - start < 30.0
-        assert len(spawned) == 3  # 2 servers + 1 client runner
+        assert len(spawned) == 3  # 2 server hosts + 1 client host
         for process in spawned:
             process.join(timeout=10.0)
         assert all(not process.is_alive() for process in spawned), (
             "failed accept leaked live children"
         )
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5.0)
 
     def test_successful_socket_startup_unaffected(self):
-        """The guarded startup still hands back a working transport and
-        cleanup on the happy path (exercised fully by run_distributed_
-        session elsewhere; here just the guard's pass-through)."""
-        outcome = serve.run_distributed_session(
+        """The guarded startup still serves and tears down cleanly on the
+        happy path (exercised fully elsewhere; here just the guard's
+        pass-through)."""
+        outcome = serve.run_sessions(
             CountQuery(epsilon=1.0, delta=DELTA),
             [1, 0, 1],
             transport="socket",
@@ -112,6 +121,64 @@ class TestFailedStartupLeaks:
             timeout=60.0,
         )
         assert outcome["accepted"] and outcome["byte_identical"]
+
+
+class TestPromptAbortTeardown:
+    def test_dead_prover_on_pipes_is_blamed_promptly(self, monkeypatch):
+        """prover-1's child dies before Morra.  Its pipe reaches EOF only
+        once no sibling holds an inherited copy of its end, so the
+        analyst names it at once instead of after the 30 s timeout."""
+        real_dispatch = ServerNode._dispatch
+
+        def dies_before_morra(self, method, parts):  # runs in the child
+            if method == "morra-sample" and self.prover.name == "prover-1":
+                os._exit(1)
+            return real_dispatch(self, method, parts)
+
+        monkeypatch.setattr(ServerNode, "_dispatch", dies_before_morra)
+        start = time.monotonic()
+        with pytest.raises(ProtocolAbort) as excinfo:
+            serve.run_sessions(
+                CountQuery(epsilon=1.0, delta=DELTA),
+                [1, 0, 1, 1],
+                transport="multiprocess",
+                num_servers=2,
+                nb_override=16,
+                seed="dead-prover",
+                timeout=30.0,
+            )
+        assert excinfo.value.party == "prover-1"
+        assert time.monotonic() - start < 5.0
+
+    def test_memory_abort_teardown_is_prompt(self, monkeypatch):
+        """prover-1 rejects setup, so the analyst aborts at once.  Nothing
+        closes under the peers still blocked in recv on the in-memory
+        bus; the launcher's one-way abort must wake them, or teardown
+        waits out the 30 s timeout."""
+        real_setup = ServerNode._setup
+
+        def rejecting_setup(self):
+            if self.transport.name != "prover-1":
+                return real_setup(self)
+            self.transport.recv(self.analyst, self.timeout)
+            self.transport.send(self.analyst, encode_abort_reply("setup refused"))
+            raise ProtocolAbort("setup refused", party="prover-1")
+
+        monkeypatch.setattr(ServerNode, "_setup", rejecting_setup)
+        start = time.monotonic()
+        with pytest.raises(ProtocolAbort) as excinfo:
+            serve.run_sessions(
+                CountQuery(epsilon=1.0, delta=DELTA),
+                [1, 0, 1],
+                transport="memory",
+                num_servers=2,
+                shards=1,
+                nb_override=16,
+                seed="memory-abort",
+                timeout=30.0,
+            )
+        assert excinfo.value.party == "prover-1"
+        assert time.monotonic() - start < 5.0
 
 
 class TestConcurrentShutdown:
@@ -191,7 +258,7 @@ class TestExitCodes:
         def abort(*args, **kwargs):
             raise ProtocolAbort("prover went silent mid-Morra", party="prover-1")
 
-        monkeypatch.setattr(serve, "run_distributed_session", abort)
+        monkeypatch.setattr(serve, "run_sessions", abort)
         code = serve.main(self._args())
         assert code == serve.EXIT_PROTOCOL_ABORT == 3
         err = capsys.readouterr().err
@@ -202,8 +269,8 @@ class TestExitCodes:
         def abort(*args, **kwargs):
             raise ProtocolAbort("timed out accepting peers")
 
-        monkeypatch.setattr(serve, "run_async_sessions", abort)
-        code = serve.main(self._args("--async"))
+        monkeypatch.setattr(serve, "run_sessions", abort)
+        code = serve.main(self._args("--transport", "socket", "--sessions", "2"))
         assert code == serve.EXIT_PROTOCOL_ABORT
         assert "unattributed" in capsys.readouterr().err
 
@@ -211,7 +278,7 @@ class TestExitCodes:
         def crash(*args, **kwargs):
             raise OSError("address already in use")
 
-        monkeypatch.setattr(serve, "run_fleet", crash)
+        monkeypatch.setattr(serve, "run_sessions", crash)
         code = serve.main(self._args("--fleet"))
         assert code == serve.EXIT_INFRA_CRASH == 4
         err = capsys.readouterr().err
@@ -222,7 +289,7 @@ class TestExitCodes:
         def reject(*args, **kwargs):
             raise ParameterError("shards must be >= 0")
 
-        monkeypatch.setattr(serve, "run_distributed_session", reject)
+        monkeypatch.setattr(serve, "run_sessions", reject)
         code = serve.main(self._args())
         assert code == 2
         assert "usage error" in capsys.readouterr().err

@@ -25,7 +25,8 @@ from repro.core.prover import (
 from repro.core.verifier import PublicVerifier
 from repro.crypto.serialization import decode_message, encode_message
 from repro.net.nodes import ClientRunner, ServerNode
-from repro.net.serve import run_distributed_session
+from repro.net.peers import session_seed
+from repro.net.serve import run_sessions
 from repro.net.shard import ShardWorker, ShardedAnalyst
 from repro.net.transport import InMemoryHub
 from repro.utils.rng import SeededRNG
@@ -108,7 +109,7 @@ class TestShardedEquivalence:
     def test_memory_count_session_byte_identical(self, shards):
         query = CountQuery(epsilon=1.0, delta=DELTA)
         values = [1, 0, 1, 1, 0, 1, 1]
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             query,
             values,
             transport="memory",
@@ -121,13 +122,18 @@ class TestShardedEquivalence:
         assert outcome["accepted"]
         assert outcome["byte_identical"]
         # Triangle check: sharded == unsharded Session at the same chunk.
-        assert encode_message(outcome["release"]) == in_process_release_bytes(
-            query, values, seed="shard-equiv", chunk=outcome["chunk_size"]
+        assert outcome["session_rows"][0]["release_frame"] == (
+            in_process_release_bytes(
+                query,
+                values,
+                seed=session_seed("shard-equiv", 0),
+                chunk=outcome["chunk_size"],
+            )
         )
 
     @pytest.mark.parametrize("transport", ["multiprocess", "socket"])
     def test_process_backed_transports_byte_identical(self, transport):
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             CountQuery(epsilon=1.0, delta=DELTA),
             [1, 0, 1, 1, 0, 1],
             transport=transport,
@@ -140,7 +146,7 @@ class TestShardedEquivalence:
         assert outcome["accepted"] and outcome["byte_identical"]
 
     def test_histogram_and_bounded_sum_shard_cleanly(self):
-        hist = run_distributed_session(
+        hist = run_sessions(
             HistogramQuery(bins=3, epsilon=1.0, delta=DELTA),
             [0, 1, 2, 1, 1, 0],
             transport="memory",
@@ -152,7 +158,7 @@ class TestShardedEquivalence:
             seed="shard-hist",
         )
         assert hist["accepted"] and hist["byte_identical"]
-        summed = run_distributed_session(
+        summed = run_sessions(
             BoundedSumQuery(value_bits=3, epsilon=2.0, delta=DELTA),
             [5, 2, 7, 0],
             transport="memory",
@@ -166,7 +172,7 @@ class TestShardedEquivalence:
         assert summed["accepted"] and summed["byte_identical"]
 
     def test_single_server_many_shards(self):
-        outcome = run_distributed_session(
+        outcome = run_sessions(
             CountQuery(epsilon=1.0, delta=DELTA),
             [1, 0, 1],
             transport="memory",

@@ -143,6 +143,18 @@ class TestSocket:
         client.close()
         listener.close()
 
+    def test_both_ends_set_tcp_nodelay(self):
+        """Small RPC frames must not stall behind Nagle and delayed ACKs:
+        the connecting socket and every accepted one disable Nagle."""
+        listener = SocketTransport.listen("analyst")
+        client = SocketTransport.connect("peer-1", "analyst", port=listener.port)
+        listener.accept(1, timeout=5.0)
+        for transport, peer in ((client, "analyst"), (listener, "peer-1")):
+            sock = transport._sockets[peer]
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY), peer
+        client.close()
+        listener.close()
+
     def test_recv_timeout(self):
         listener = SocketTransport.listen("analyst")
         client = SocketTransport.connect("peer-1", "analyst", port=listener.port)
